@@ -373,110 +373,6 @@ BENCHMARK(BM_PrefixCacheSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Continuous vs request-level batching at rising concurrency. One model
-// sized so the weights outgrow L2 (~3.4 MB of floats): request-level
-// batching decodes each sequence as its own stream of GEMVs, re-streaming
-// the full weight matrices per in-flight request, while the continuous
-// scheduler merges all live sequences into one batched GEMM step per
-// token — weights stream once per step no matter how many sequences ride
-// it — and backfills retired slots between steps. Prompts are
-// heterogeneous (different context lengths), so the request-level path
-// also pays head-of-line imbalance: a worker that drew a short request
-// idles while the longest one finishes. The speedup counter is the
-// acceptance criterion: >= 1.5x tokens/s over request-level at 4x
-// concurrency (batch 16 on 4 threads).
-void BM_ContinuousBatchSweep(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  const int threads = 4;
-  wisdom::util::ThreadPool::set_global_threads(threads);
-  static const text::BpeTokenizer* tokenizer = [] {
-    return new text::BpeTokenizer(text::BpeTokenizer::train(
-        "- name: Install nginx\n  ansible.builtin.apt:\n"
-        "    name: nginx\n    state: present\n",
-        300));
-  }();
-  model::ModelConfig cfg;
-  cfg.vocab = static_cast<std::int32_t>(tokenizer->vocab_size());
-  cfg.ctx = 96;
-  cfg.d_model = 128;
-  cfg.n_head = 4;
-  cfg.n_layer = 4;
-  cfg.d_ff = 512;
-  static const model::Transformer* shared_model = [&] {
-    return new model::Transformer(cfg, 11);
-  }();
-  const model::Transformer& m = *shared_model;
-
-  serve::ServiceOptions continuous_options;
-  continuous_options.max_new_tokens = 24;
-  continuous_options.max_batch_sequences = batch;
-  serve::InferenceService continuous(m, *tokenizer, continuous_options);
-  serve::ServiceOptions request_level_options = continuous_options;
-  request_level_options.continuous_batching = false;
-  serve::InferenceService request_level(m, *tokenizer, request_level_options);
-
-  // Heterogeneous prompts: context depth cycles 0/1/2/3 stanzas.
-  const char* stanza =
-      "- name: Install nginx\n  ansible.builtin.apt:\n"
-      "    name: nginx\n    state: present\n";
-  std::vector<serve::SuggestionRequest> requests(
-      static_cast<std::size_t>(batch));
-  for (int i = 0; i < batch; ++i) {
-    auto& r = requests[static_cast<std::size_t>(i)];
-    for (int k = 0; k < i % 4; ++k) r.context += stanza;
-    r.prompt = "Install package " + std::to_string(i);
-    r.indent = i % 3;
-  }
-
-  std::int64_t continuous_tokens = 0;
-  std::int64_t request_level_tokens = 0;
-  double continuous_seconds = 0.0;
-  double request_level_seconds = 0.0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto responses = continuous.suggest_batch(requests);
-    continuous_seconds += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    benchmark::DoNotOptimize(responses.data());
-    for (const auto& response : responses)
-      continuous_tokens += response.generated_tokens;
-
-    // Request-level baseline over the same requests, outside the timed
-    // region so the reported ms stay the continuous path's.
-    state.PauseTiming();
-    t0 = std::chrono::steady_clock::now();
-    auto baseline = request_level.suggest_batch(requests);
-    request_level_seconds += std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-    benchmark::DoNotOptimize(baseline.data());
-    for (const auto& response : baseline)
-      request_level_tokens += response.generated_tokens;
-    state.ResumeTiming();
-  }
-
-  const double continuous_rate =
-      continuous_seconds > 0.0
-          ? static_cast<double>(continuous_tokens) / continuous_seconds
-          : 0.0;
-  const double request_level_rate =
-      request_level_seconds > 0.0
-          ? static_cast<double>(request_level_tokens) / request_level_seconds
-          : 0.0;
-  state.counters["tokens/s"] = continuous_rate;
-  state.counters["baseline_tok/s"] = request_level_rate;
-  state.counters["speedup"] =
-      request_level_rate > 0.0 ? continuous_rate / request_level_rate : 0.0;
-  state.SetLabel("b" + std::to_string(batch) + "/t" +
-                 std::to_string(threads));
-  g_last_service_exposition = continuous.metrics().expose_prometheus();
-}
-BENCHMARK(BM_ContinuousBatchSweep)
-    ->Arg(4)->Arg(8)->Arg(16)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // Speculative decoding sweep: a small config from the same family drafts
 // k tokens per round and the served model verifies them in one fused
 // forward pass. Both models are trained on the same synthetic apt-task
@@ -545,7 +441,6 @@ void BM_SpeculativeSweep(benchmark::State& state) {
 
   serve::ServiceOptions spec_options;
   spec_options.max_new_tokens = 24;
-  spec_options.continuous_batching = false;
   spec_options.speculative_k = k;
   spec_options.draft_model = &pair->draft;
   serve::InferenceService speculative(pair->verifier, *tokenizer,

@@ -25,8 +25,12 @@ With --seed-if-missing, a missing baseline file is created from the current
 run and the check passes — this is how CI bootstraps the very first
 baseline without a manual commit.
 
+The two runs must come from hosts with the same CPU count
+(context.num_cpus): throughput on 1 CPU says nothing about 4, so a
+mismatch is refused rather than compared.
+
 Exit codes: 0 = within threshold (or baseline seeded), 1 = regression,
-2 = usage / malformed input.
+2 = usage / malformed input / CPU-count mismatch.
 """
 
 import argparse
@@ -70,6 +74,13 @@ QUALITY_FIELDS = ("shed_rate", "degraded_rate")
 MIN_COUNTERS = {
     "BM_SpeculativeSweep": {"speedup": 1.30},
 }
+
+
+def load_num_cpus(path):
+    """The run's context.num_cpus, or None when the file does not say."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    return doc.get("context", {}).get("num_cpus")
 
 
 def load_field(path, field):
@@ -143,6 +154,15 @@ def main():
         return 2
     except (OSError, ValueError, KeyError) as err:
         print(f"error: cannot read baseline {args.baseline}: {err}")
+        return 2
+
+    current_cpus = load_num_cpus(args.current)
+    baseline_cpus = load_num_cpus(args.baseline)
+    if current_cpus != baseline_cpus:
+        print(f"error: refusing to compare runs from different hosts: "
+              f"{args.current} has num_cpus={current_cpus}, "
+              f"{args.baseline} has num_cpus={baseline_cpus}; re-seed the "
+              "baseline on this host")
         return 2
 
     failures = []

@@ -2,8 +2,8 @@
 // the epoll front end in src/net/. Serves POST /v1/suggest, POST
 // /v1/suggest/stream (SSE), GET /v1/metrics, GET /v1/healthz, and POST
 // /v1/admin/drain (loopback-only) against the full serving stack —
-// admission queue, circuit breaker, continuous batching, caches, lint
-// gate — configured from the command line.
+// admission queue, circuit breaker, caches, lint gate — configured from
+// the command line.
 //
 // Usage:
 //   ./build/examples/wisdom_serve --port 8080            # full 350M model
@@ -110,9 +110,6 @@ int usage(const char* argv0) {
       "  --lint-policy P         off | annotate | repair | reject\n"
       "  --prefix-cache          enable the prefix KV cache\n"
       "  --response-cache        enable the response memo\n"
-      "  --no-continuous-batching  request-level thread-pool batching\n"
-      "  --max-batch N           scheduler in-flight cap (default 8)\n"
-      "  --kv-block-size N       paged-KV block size (default 16)\n"
       "  --breaker               enable the admission circuit breaker\n",
       argv0);
   return 2;
@@ -183,12 +180,6 @@ int main(int argc, char** argv) {
       service_options.prefix_cache_enabled = true;
     else if (arg == "--response-cache")
       service_options.response_cache_enabled = true;
-    else if (arg == "--no-continuous-batching")
-      service_options.continuous_batching = false;
-    else if (arg == "--max-batch")
-      service_options.max_batch_sequences = std::atoi(next_value(i));
-    else if (arg == "--kv-block-size")
-      service_options.kv_block_size = std::atoi(next_value(i));
     else if (arg == "--breaker") service_options.breaker_enabled = true;
     else return usage(argv[0]);
   }

@@ -18,7 +18,7 @@ if [ "$1" = "--regression" ]; then
   OUT="${BENCH_OUT:-BENCH_PR6.json}"
   BASELINE="${BENCH_BASELINE:-bench/bench_baseline.json}"
   WISDOM_THREADS=4 build/bench/bench_throughput \
-    --benchmark_filter='BM_BatchedSuggest|BM_ContinuousBatchSweep|BM_OverloadSweep|BM_SpeculativeSweep' \
+    --benchmark_filter='BM_BatchedSuggest|BM_OverloadSweep|BM_SpeculativeSweep' \
     --benchmark_repetitions=3 --benchmark_min_time=1 \
     --benchmark_format=json --benchmark_out="$OUT" \
     --benchmark_out_format=json >/dev/null

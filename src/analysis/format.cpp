@@ -27,29 +27,6 @@ std::string_view source_line(std::string_view source, std::size_t line) {
   return source.substr(start, end - start);
 }
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
 std::string format_one_line(const Diagnostic& d, std::string_view file_label) {
@@ -110,11 +87,11 @@ std::string format_json(const AnalysisResult& result) {
     if (!first) out += ',';
     first = false;
     out += "{\"rule\":";
-    append_json_string(out, d->rule);
+    out += '\"' + util::json_escape(d->rule) + '\"';
     out += ",\"severity\":";
-    append_json_string(out, severity_name(d->severity));
+    out += '\"' + util::json_escape(severity_name(d->severity)) + '\"';
     out += ",\"message\":";
-    append_json_string(out, d->message);
+    out += '\"' + util::json_escape(d->message) + '\"';
     out += ",\"line\":" + std::to_string(d->span.line);
     out += ",\"column\":" + std::to_string(d->span.column);
     out += ",\"begin\":" + std::to_string(d->span.begin);
@@ -140,11 +117,11 @@ std::string format_sarif(const std::vector<SarifArtifact>& artifacts) {
     if (i != 0) out += ',';
     const RuleInfo& rule = rules[i];
     out += "{\"id\":";
-    append_json_string(out, rule.id);
+    out += '\"' + util::json_escape(rule.id) + '\"';
     out += ",\"shortDescription\":{\"text\":";
-    append_json_string(out, rule.summary);
+    out += '\"' + util::json_escape(rule.summary) + '\"';
     out += "},\"defaultConfiguration\":{\"level\":";
-    append_json_string(out, severity_name(rule.default_severity));
+    out += '\"' + util::json_escape(severity_name(rule.default_severity)) + '\"';
     out += "},\"properties\":{\"fixable\":";
     out += rule.fixable ? "true" : "false";
     out += ",\"semantic\":";
@@ -159,7 +136,7 @@ std::string format_sarif(const std::vector<SarifArtifact>& artifacts) {
       if (!first) out += ',';
       first = false;
       out += "{\"ruleId\":";
-      append_json_string(out, d->rule);
+      out += '\"' + util::json_escape(d->rule) + '\"';
       // ruleIndex ties the result to the driver.rules entry; -1 (omitted)
       // would be legal but viewers use the index for severity metadata.
       for (std::size_t i = 0; i < rules.size(); ++i) {
@@ -169,12 +146,12 @@ std::string format_sarif(const std::vector<SarifArtifact>& artifacts) {
         }
       }
       out += ",\"level\":";
-      append_json_string(out, severity_name(d->severity));
+      out += '\"' + util::json_escape(severity_name(d->severity)) + '\"';
       out += ",\"message\":{\"text\":";
-      append_json_string(out, d->message);
+      out += '\"' + util::json_escape(d->message) + '\"';
       out += "},\"locations\":[{\"physicalLocation\":{"
              "\"artifactLocation\":{\"uri\":";
-      append_json_string(out, artifact.uri);
+      out += '\"' + util::json_escape(artifact.uri) + '\"';
       out += '}';
       if (d->span.valid()) {
         out += ",\"region\":{\"startLine\":" + std::to_string(d->span.line) +

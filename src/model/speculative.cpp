@@ -124,9 +124,7 @@ std::vector<std::int32_t> generate_speculative(
     *options.prompt_snapshot = cache.clone(static_cast<int>(kept.size()));
 
   // Draft cache holds a fed prefix of the committed sequence kept ++ out.
-  KvCache draft_cache = spec.draft_arena
-                            ? draft_model.make_paged_cache(spec.draft_arena)
-                            : draft_model.make_cache();
+  KvCache draft_cache = draft_model.make_cache();
   int draft_fed = 0;  // committed tokens currently fed into draft_cache
 
   std::vector<std::int32_t> candidates, pending;

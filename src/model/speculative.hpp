@@ -29,8 +29,6 @@
 
 namespace wisdom::model {
 
-class KvBlockAllocator;
-
 // Counters accumulated across generate_speculative calls (the caller
 // aggregates into wisdom_spec_* metric families).
 struct SpeculativeStats {
@@ -48,9 +46,6 @@ struct SpeculativeOptions {
   const Transformer* draft = nullptr;
   // Tokens drafted per verify round (>= 1).
   int k = 4;
-  // When set, the draft's KV cache is paged out of this arena (its
-  // geometry must match the *draft* model); otherwise monolithic.
-  KvBlockAllocator* draft_arena = nullptr;
   SpeculativeStats* stats = nullptr;  // optional accumulator
 };
 

@@ -8,7 +8,6 @@
 #include <functional>
 #include <limits>
 
-#include "model/kv_block.hpp"
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -452,95 +451,22 @@ float Transformer::run(std::span<const std::int32_t> x,
   return loss;
 }
 
-namespace {
-
-void release_blocks(Transformer::KvCache& cache) {
-  if (!cache.arena) return;
-  for (std::int32_t id : cache.block_table) cache.arena->release(id);
-  cache.block_table.clear();
-}
-
-}  // namespace
-
-Transformer::KvCache::KvCache(const KvCache& other)
-    : keys(other.keys),
-      values(other.values),
-      logits(other.logits),
-      length(other.length),
-      row_width(other.row_width),
-      capacity(other.capacity),
-      arena(other.arena),
-      block_table(other.block_table) {
-  if (arena)
-    for (std::int32_t id : block_table) arena->add_ref(id);
-}
-
-Transformer::KvCache::KvCache(KvCache&& other) noexcept
-    : keys(std::move(other.keys)),
-      values(std::move(other.values)),
-      logits(std::move(other.logits)),
-      length(other.length),
-      row_width(other.row_width),
-      capacity(other.capacity),
-      arena(other.arena),
-      block_table(std::move(other.block_table)) {
-  other.arena = nullptr;
-  other.block_table.clear();
-  other.length = 0;
-}
-
-Transformer::KvCache& Transformer::KvCache::operator=(const KvCache& other) {
-  if (this == &other) return *this;
-  KvCache copy(other);
-  *this = std::move(copy);
-  return *this;
-}
-
-Transformer::KvCache& Transformer::KvCache::operator=(
-    KvCache&& other) noexcept {
-  if (this == &other) return *this;
-  release_blocks(*this);
-  keys = std::move(other.keys);
-  values = std::move(other.values);
-  logits = std::move(other.logits);
-  length = other.length;
-  row_width = other.row_width;
-  capacity = other.capacity;
-  arena = other.arena;
-  block_table = std::move(other.block_table);
-  other.arena = nullptr;
-  other.block_table.clear();
-  other.length = 0;
-  return *this;
-}
-
-Transformer::KvCache::~KvCache() { release_blocks(*this); }
-
 Transformer::KvCache Transformer::KvCache::clone(int new_length) const {
   KvCache out;
   const int n = new_length < 0 ? length : std::min(new_length, length);
   out.length = std::max(0, n);
   out.row_width = row_width;
   out.capacity = capacity;
-  if (paged()) {
-    out.arena = arena;
-    const int bs = arena->block_size();
-    const int nblocks = (out.length + bs - 1) / bs;
-    out.block_table.assign(block_table.begin(),
-                           block_table.begin() + nblocks);
-    for (std::int32_t id : out.block_table) arena->add_ref(id);
-  } else {
-    const std::size_t rows = static_cast<std::size_t>(out.length) *
-                             static_cast<std::size_t>(row_width);
-    out.keys.reserve(keys.size());
-    out.values.reserve(values.size());
-    for (const Vec& k : keys)
-      out.keys.emplace_back(k.begin(),
-                            k.begin() + static_cast<std::ptrdiff_t>(rows));
-    for (const Vec& v : values)
-      out.values.emplace_back(v.begin(),
-                              v.begin() + static_cast<std::ptrdiff_t>(rows));
-  }
+  const std::size_t rows = static_cast<std::size_t>(out.length) *
+                           static_cast<std::size_t>(row_width);
+  out.keys.reserve(keys.size());
+  out.values.reserve(values.size());
+  for (const Vec& k : keys)
+    out.keys.emplace_back(k.begin(),
+                          k.begin() + static_cast<std::ptrdiff_t>(rows));
+  for (const Vec& v : values)
+    out.values.emplace_back(v.begin(),
+                            v.begin() + static_cast<std::ptrdiff_t>(rows));
   if (out.length == length) out.logits = logits;
   return out;
 }
@@ -548,14 +474,6 @@ Transformer::KvCache Transformer::KvCache::clone(int new_length) const {
 void Transformer::KvCache::truncate(int new_length) {
   if (new_length >= length) return;
   length = std::max(0, new_length);
-  if (paged()) {
-    const int bs = arena->block_size();
-    const int keep = (length + bs - 1) / bs;
-    while (static_cast<int>(block_table.size()) > keep) {
-      arena->release(block_table.back());
-      block_table.pop_back();
-    }
-  }
   // The logits belong to the position that no longer is the last one.
   logits.clear();
   logits.shrink_to_fit();
@@ -563,41 +481,9 @@ void Transformer::KvCache::truncate(int new_length) {
 
 std::size_t Transformer::KvCache::byte_size() const {
   std::size_t bytes = logits.capacity() * sizeof(float);
-  if (paged()) {
-    bytes += block_table.size() * arena->block_bytes();
-    bytes += block_table.capacity() * sizeof(std::int32_t);
-  }
   for (const Vec& k : keys) bytes += k.capacity() * sizeof(float);
   for (const Vec& v : values) bytes += v.capacity() * sizeof(float);
   return bytes;
-}
-
-void Transformer::KvCache::materialize() {
-  if (!paged()) return;
-  const int layers = arena->n_layers();
-  const int d = row_width;
-  const int bs = arena->block_size();
-  const std::size_t per_layer =
-      static_cast<std::size_t>(capacity) * static_cast<std::size_t>(d);
-  keys.assign(static_cast<std::size_t>(layers), Vec(per_layer, 0.0f));
-  values.assign(static_cast<std::size_t>(layers), Vec(per_layer, 0.0f));
-  for (int li = 0; li < layers; ++li) {
-    for (std::size_t b = 0; b < block_table.size(); ++b) {
-      const int row0 = static_cast<int>(b) * bs;
-      const int rows = std::min(bs, length - row0);
-      if (rows <= 0) break;
-      std::memcpy(keys[static_cast<std::size_t>(li)].data() +
-                      static_cast<std::size_t>(row0) * d,
-                  arena->key_row(block_table[b], li, 0),
-                  static_cast<std::size_t>(rows) * d * sizeof(float));
-      std::memcpy(values[static_cast<std::size_t>(li)].data() +
-                      static_cast<std::size_t>(row0) * d,
-                  arena->value_row(block_table[b], li, 0),
-                  static_cast<std::size_t>(rows) * d * sizeof(float));
-    }
-  }
-  release_blocks(*this);
-  arena = nullptr;
 }
 
 Transformer::KvCache Transformer::make_cache() const {
@@ -611,108 +497,19 @@ Transformer::KvCache Transformer::make_cache() const {
   return cache;
 }
 
-Transformer::KvCache Transformer::make_paged_cache(
-    KvBlockAllocator* arena) const {
-  if (!arena) return make_cache();
-  assert(arena->n_layers() == static_cast<int>(layers_.size()));
-  assert(arena->row_width() == config_.d_model);
-  KvCache cache;
-  cache.arena = arena;
-  cache.row_width = config_.d_model;
-  cache.capacity = config_.ctx;
-  return cache;
-}
-
 namespace {
 
-// One contiguous run of KV rows: `rows` rows of keys at `k` and values at
-// `v`, row stride = d_model. A monolithic cache is a single run; a paged
-// cache contributes one run per block (the last possibly partial). The
-// attention loops walk runs in logical row order, so the per-row
-// arithmetic — and therefore every accumulated float — is identical in
-// both layouts.
-struct KvRun {
-  const float* k;
-  const float* v;
-  int rows;
-};
-
-// Appends the runs covering rows [0, count) of layer `li`.
-void collect_runs(const Transformer::KvCache& cache, int li, int count,
-                  std::vector<KvRun>& runs) {
-  runs.clear();
-  if (!cache.paged()) {
-    runs.push_back({cache.keys[static_cast<std::size_t>(li)].data(),
-                    cache.values[static_cast<std::size_t>(li)].data(),
-                    count});
-    return;
+// Makes `cache` writable up to the full window: grows a compacted clone
+// (the prefix cache's stored form) back to ctx rows.
+void prepare_append(Transformer::KvCache& cache, int ctx) {
+  const std::size_t full_rows = static_cast<std::size_t>(ctx) *
+                                static_cast<std::size_t>(cache.row_width);
+  for (std::size_t li = 0; li < cache.keys.size(); ++li) {
+    if (cache.keys[li].size() < full_rows)
+      cache.keys[li].resize(full_rows, 0.0f);
+    if (cache.values[li].size() < full_rows)
+      cache.values[li].resize(full_rows, 0.0f);
   }
-  const int bs = cache.arena->block_size();
-  for (std::size_t b = 0; b * bs < static_cast<std::size_t>(count); ++b) {
-    const int rows = std::min(bs, count - static_cast<int>(b) * bs);
-    runs.push_back({cache.arena->key_row(cache.block_table[b], li, 0),
-                    cache.arena->value_row(cache.block_table[b], li, 0),
-                    rows});
-  }
-}
-
-// Makes row `pos` of `cache` writable: grows a compacted monolithic clone
-// back to the full window, allocates or copy-on-writes the paged block
-// covering `pos`. On arena exhaustion the cache falls back to monolithic
-// (materialize) — decoding never fails, it just stops being paged.
-void prepare_append(Transformer::KvCache& cache, int pos, int ctx) {
-  if (!cache.paged()) {
-    const std::size_t full_rows = static_cast<std::size_t>(ctx) *
-                                  static_cast<std::size_t>(cache.row_width);
-    for (std::size_t li = 0; li < cache.keys.size(); ++li) {
-      if (cache.keys[li].size() < full_rows)
-        cache.keys[li].resize(full_rows, 0.0f);
-      if (cache.values[li].size() < full_rows)
-        cache.values[li].resize(full_rows, 0.0f);
-    }
-    return;
-  }
-  KvBlockAllocator* arena = cache.arena;
-  const int bs = arena->block_size();
-  const std::size_t b = static_cast<std::size_t>(pos / bs);
-  if (b < cache.block_table.size()) {
-    // Appending into the last block; copy-on-write if it is shared (a
-    // prefix-cache snapshot or beam sibling also references it).
-    const std::int32_t exclusive =
-        arena->make_exclusive(cache.block_table[b]);
-    if (exclusive < 0) {
-      cache.materialize();
-      prepare_append(cache, pos, ctx);
-      return;
-    }
-    cache.block_table[b] = exclusive;
-  } else {
-    const std::int32_t id = arena->allocate();
-    if (id < 0) {
-      cache.materialize();
-      prepare_append(cache, pos, ctx);
-      return;
-    }
-    cache.block_table.push_back(id);
-  }
-}
-
-float* key_append_row(Transformer::KvCache& cache, int li, int pos) {
-  if (!cache.paged())
-    return cache.keys[static_cast<std::size_t>(li)].data() +
-           static_cast<std::size_t>(pos) * cache.row_width;
-  const int bs = cache.arena->block_size();
-  return cache.arena->key_row(
-      cache.block_table[static_cast<std::size_t>(pos / bs)], li, pos % bs);
-}
-
-float* value_append_row(Transformer::KvCache& cache, int li, int pos) {
-  if (!cache.paged())
-    return cache.values[static_cast<std::size_t>(li)].data() +
-           static_cast<std::size_t>(pos) * cache.row_width;
-  const int bs = cache.arena->block_size();
-  return cache.arena->value_row(
-      cache.block_table[static_cast<std::size_t>(pos / bs)], li, pos % bs);
 }
 
 }  // namespace
@@ -751,20 +548,19 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
   // Flatten the feeds into rows: row r appends token row_token[r] to
   // feeds[row_feed[r]].cache at position row_pos[r]. Runs keep their feed
   // order, so row-major row_logits line up with the drafted chains.
-  std::vector<int> row_feed, row_pos, base(feeds.size());
+  std::vector<int> row_feed, row_pos;
   std::vector<std::int32_t> row_token;
   for (std::size_t s = 0; s < feeds.size(); ++s) {
     KvCache& cache = *feeds[s].cache;
-    base[s] = cache.length;
     assert(cache.length + static_cast<int>(feeds[s].tokens.size()) <=
            config_.ctx);
+    if (!feeds[s].tokens.empty()) prepare_append(cache, config_.ctx);
     for (std::size_t j = 0; j < feeds[s].tokens.size(); ++j) {
       const int p = cache.length + static_cast<int>(j);
       assert(feeds[s].tokens[j] >= 0 && feeds[s].tokens[j] < config_.vocab);
       row_feed.push_back(static_cast<int>(s));
       row_pos.push_back(p);
       row_token.push_back(feeds[s].tokens[j]);
-      prepare_append(cache, p, config_.ctx);
     }
   }
   const int n = static_cast<int>(row_token.size());
@@ -790,8 +586,6 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
         static_cast<std::size_t>(row_pos[static_cast<std::size_t>(r)] + 1) *
         static_cast<std::size_t>(hd);
 
-  std::vector<std::vector<KvRun>> runs(feeds.size());
-
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& L = layers_[li];
     // Batched rows: every kernel below computes each row exactly as the
@@ -815,54 +609,42 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
         nn::rotary(row + d + head * hd, 1, hd, rot, p);
       }
       // Append rotated k and v.
-      std::memcpy(key_append_row(cache, static_cast<int>(li), p), row + d,
+      const std::size_t at = static_cast<std::size_t>(p) * d;
+      std::memcpy(cache.keys[li].data() + at, row + d, d * sizeof(float));
+      std::memcpy(cache.values[li].data() + at, row + 2 * d,
                   d * sizeof(float));
-      std::memcpy(value_append_row(cache, static_cast<int>(li), p),
-                  row + 2 * d, d * sizeof(float));
     }
     // All of this layer's rows are appended; each attention row below caps
     // its walk at its own causal horizon (earlier rows of the same run
     // included, later ones not).
-    for (std::size_t s = 0; s < feeds.size(); ++s)
-      collect_runs(*feeds[s].cache, static_cast<int>(li),
-                   base[s] + static_cast<int>(feeds[s].tokens.size()),
-                   runs[s]);
 
     for_each_head(n, h, att_madds, [&](int s0, int s1) {
       Vec att(static_cast<std::size_t>(config_.ctx));
       for (int slot = s0; slot < s1; ++slot) {
         const int r = slot / h;
         const int head = slot % h;
-        const std::size_t s =
-            static_cast<std::size_t>(row_feed[static_cast<std::size_t>(r)]);
+        const KvCache& cache =
+            *feeds[static_cast<std::size_t>(
+                       row_feed[static_cast<std::size_t>(r)])]
+                 .cache;
+        const float* keys = cache.keys[li].data() + head * hd;
+        const float* values = cache.values[li].data() + head * hd;
         const float* q =
             qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
         const int count = row_pos[static_cast<std::size_t>(r)] + 1;
-        int j = 0;
-        for (const KvRun& run : runs[s]) {
-          const int rows = std::min(run.rows, count - j);
-          for (int rr = 0; rr < rows; ++rr) {
-            const float* krow =
-                run.k + static_cast<std::size_t>(rr) * d + head * hd;
-            float acc = 0.0f;
-            for (int c = 0; c < hd; ++c) acc += q[c] * krow[c];
-            att[static_cast<std::size_t>(j++)] = acc * att_scale;
-          }
-          if (j >= count) break;
+        for (int j = 0; j < count; ++j) {
+          const float* krow = keys + static_cast<std::size_t>(j) * d;
+          float acc = 0.0f;
+          for (int c = 0; c < hd; ++c) acc += q[c] * krow[c];
+          att[static_cast<std::size_t>(j)] = acc * att_scale;
         }
         nn::softmax(att.data(), att.data(), 1, count);
         float* out = mix.data() + static_cast<std::size_t>(r) * d + head * hd;
         std::fill(out, out + hd, 0.0f);
-        j = 0;
-        for (const KvRun& run : runs[s]) {
-          const int rows = std::min(run.rows, count - j);
-          for (int rr = 0; rr < rows; ++rr) {
-            const float w = att[static_cast<std::size_t>(j++)];
-            const float* vrow =
-                run.v + static_cast<std::size_t>(rr) * d + head * hd;
-            for (int c = 0; c < hd; ++c) out[c] += w * vrow[c];
-          }
-          if (j >= count) break;
+        for (int j = 0; j < count; ++j) {
+          const float w = att[static_cast<std::size_t>(j)];
+          const float* vrow = values + static_cast<std::size_t>(j) * d;
+          for (int c = 0; c < hd; ++c) out[c] += w * vrow[c];
         }
       }
     });

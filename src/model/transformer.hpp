@@ -23,8 +23,6 @@
 
 namespace wisdom::model {
 
-class KvBlockAllocator;
-
 class Transformer {
  public:
   Transformer(const ModelConfig& config, std::uint64_t seed);
@@ -56,9 +54,8 @@ class Transformer {
 
   // --- greedy decoding with a KV cache ------------------------------------
   struct KvCache {
-    // Monolithic backing — per layer: rotated keys and values,
-    // [ctx x d_model] each (or fewer rows for a compacted clone;
-    // decode_step grows them back on demand). Empty when paged.
+    // Per layer: rotated keys and values, [ctx x d_model] each (or fewer
+    // rows for a compacted clone; decode_step grows them back on demand).
     std::vector<nn::Vec> keys;
     std::vector<nn::Vec> values;
     // Next-token logits of the last decode_step. Living in the cache (not
@@ -70,49 +67,19 @@ class Transformer {
     // (context window), so clone()/byte_size() need no model reference.
     int row_width = 0;
     int capacity = 0;
-    // Paged backing: when `arena` is set the KV rows live in fixed-size
-    // blocks owned by the arena (borrowed; must outlive the cache) and
-    // `block_table` maps logical block index -> arena block id. Copies
-    // share blocks by refcount; decode_step copies-on-write before
-    // appending into a shared block. Values are bit-identical to the
-    // monolithic layout — only row placement differs.
-    KvBlockAllocator* arena = nullptr;
-    std::vector<std::int32_t> block_table;
 
-    KvCache() = default;
-    KvCache(const KvCache& other);
-    KvCache(KvCache&& other) noexcept;
-    KvCache& operator=(const KvCache& other);
-    KvCache& operator=(KvCache&& other) noexcept;
-    ~KvCache();
-
-    bool paged() const { return arena != nullptr; }
-    // Copy truncated to the first `new_length` tokens (default: all) — the
-    // form the prefix cache stores. Monolithic: a deep copy with
-    // keys/values compacted to exactly that many rows. Paged: shares the
-    // covering blocks (refcounted, O(blocks) — no payload copy). The
-    // logits survive only a full-length clone (they describe the last
-    // decoded position).
+    // Deep copy truncated to the first `new_length` tokens (default: all),
+    // keys/values compacted to exactly that many rows — the form the
+    // prefix cache stores. The logits survive only a full-length clone
+    // (they describe the last decoded position).
     KvCache clone(int new_length = -1) const;
     // Forgets every token past `new_length` and drops the logits (they
-    // belong to the old last position); a paged cache also releases the
-    // blocks past the kept span. No-op when already shorter.
+    // belong to the old last position). No-op when already shorter.
     void truncate(int new_length);
-    // Heap bytes held: keys/values/logits for a monolithic cache, the
-    // arena blocks referenced (full blocks, shared or not) for a paged
-    // one.
+    // Heap bytes held: keys, values and logits.
     std::size_t byte_size() const;
-    // Converts a paged cache to an equivalent monolithic one (copying the
-    // live rows out of the arena and releasing the blocks). Decoding
-    // falls back to this when the arena is exhausted, so paged decodes
-    // degrade gracefully instead of failing. No-op when not paged.
-    void materialize();
   };
   KvCache make_cache() const;
-  // A cache whose KV rows live in `arena` blocks, allocated lazily as the
-  // sequence grows. The arena geometry must match the model (layers,
-  // d_model); it must outlive the cache.
-  KvCache make_paged_cache(KvBlockAllocator* arena) const;
   // Appends `token` at the cache's current position and returns the logits
   // for the next position (valid until the next call on the same cache).
   // Cache length must be < ctx. Thread-safe across distinct caches.

@@ -90,9 +90,8 @@ void EventLoop::run_posted() {
 
 void EventLoop::run() {
   if (!valid()) return;
-  running_.store(true, std::memory_order_release);
   std::vector<epoll_event> events(64);
-  while (running_.load(std::memory_order_acquire)) {
+  while (stops_.load(std::memory_order_acquire) == stops_honoured_) {
     int n = epoll_wait(epoll_fd_, events.data(),
                        static_cast<int>(events.size()), -1);
     if (n < 0) {
@@ -120,10 +119,11 @@ void EventLoop::run() {
     run_posted();
   }
   run_posted();
+  stops_honoured_ = stops_.load(std::memory_order_acquire);
 }
 
 void EventLoop::stop() {
-  running_.store(false, std::memory_order_release);
+  stops_.fetch_add(1, std::memory_order_release);
   post([] {});  // wake the loop so it observes the flag
 }
 

@@ -52,8 +52,11 @@ class EventLoop {
   void post(std::function<void()> fn);
 
   // Runs until stop(). Returns after draining the final posted batch.
+  // A stopped loop can run again.
   void run();
-  // Thread-safe; idempotent.
+  // Thread-safe; idempotent. A stop() issued before run() is reached is
+  // not lost: that run() returns at once, so a loop thread that starts
+  // late cannot miss it.
   void stop();
 
  private:
@@ -66,7 +69,10 @@ class EventLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd
-  std::atomic<bool> running_{false};
+  // stop() calls so far; never reset. run() returns once this moves past
+  // the count it has already honoured.
+  std::atomic<std::uint64_t> stops_{0};
+  std::uint64_t stops_honoured_ = 0;  // touched only by the running thread
   std::uint32_t next_generation_ = 1;
   std::unordered_map<int, Handler> handlers_;
   std::mutex mu_;

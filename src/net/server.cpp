@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "serve/wire.hpp"
+#include "util/strings.hpp"
 
 namespace wisdom::net {
 
@@ -21,9 +22,9 @@ namespace {
 // errors, unparseable JSON, unknown routes).
 std::string error_body(std::string_view error_name, std::string_view detail) {
   std::string out = "{\"ok\": false, \"error\": \"";
-  out += serve::json_escape(error_name);
+  out += util::json_escape(error_name);
   out += "\", \"detail\": \"";
-  out += serve::json_escape(detail);
+  out += util::json_escape(detail);
   out += "\"}";
   return out;
 }
@@ -43,7 +44,7 @@ std::string health_body(serve::InferenceService::State state) {
 // append/reset semantics.
 std::string stream_event(std::string_view text, bool reset) {
   std::string out = "data: {\"text\": \"";
-  out += serve::json_escape(text);
+  out += util::json_escape(text);
   out += "\", \"reset\": ";
   out += reset ? "true" : "false";
   out += "}\n\n";

@@ -1,11 +1,10 @@
 // Deterministic fault injection for the serving path.
 //
-// Robustness behavior (deadline fallback, load shedding, retry, KV-pressure
-// preemption, circuit breaking) is miserable to test with real timing: a
-// "slow decode" produced by sleeping is flaky and slow, a genuinely full
-// queue needs racing threads, and a genuinely exhausted arena needs a
-// precisely sized workload. The FaultInjector instead forces each degraded
-// path to trigger on demand:
+// Robustness behavior (deadline fallback, load shedding, retry, circuit
+// breaking) is miserable to test with real timing: a "slow decode"
+// produced by sleeping is flaky and slow, and a genuinely full queue needs
+// racing threads. The FaultInjector instead forces each degraded path to
+// trigger on demand:
 //
 //   * slow_decode_after_tokens: requests decode under a check-count
 //     deadline that expires after N cooperative checks — the decode "takes
@@ -16,15 +15,6 @@
 //     n < 0 means INFINITE — every call fails, no credit is consumed,
 //     until reset() or set_fail_generate(0); n == 0 disables,
 //   * force_queue_full: admission behaves as if the queue were at capacity,
-//   * arena_exhaust_at_step: from scheduler step N on, the continuous
-//     scheduler's KV-pressure check behaves as if the block arena had zero
-//     free blocks — deterministically forcing preemption mid-flight,
-//   * fail_alloc: the next N paged-cache admission checks behave as if
-//     block allocation failed (same credit semantics as fail_generate),
-//     pushing those sequences onto the monolithic-fallback path,
-//   * stall_steps: the next N scheduler iterations make no forward
-//     progress (no sequence decodes; only watchdog ages advance) — the
-//     wedged-batch scenario the scheduler watchdog exists for,
 //   * poison_breaker: the next N outcomes recorded by the service are
 //     forced to count as failures in the circuit breaker's rolling window
 //     regardless of the real response (same credit semantics).
@@ -79,36 +69,6 @@ class FaultInjector {
     return force_queue_full_.load(std::memory_order_relaxed);
   }
 
-  // --- forced arena exhaustion --------------------------------------------
-  // n >= 0: from scheduler step n on, the KV-pressure check sees zero free
-  // blocks (real allocations still succeed, so decodes complete — the
-  // injected pressure only drives preemption/fallback decisions). n < 0
-  // disables.
-  void set_arena_exhaust_at_step(std::int64_t n) {
-    arena_exhaust_step_.store(n, std::memory_order_relaxed);
-  }
-  bool arena_exhausted_at(std::int64_t step) const {
-    const std::int64_t n = arena_exhaust_step_.load(std::memory_order_relaxed);
-    return n >= 0 && step >= n;
-  }
-
-  // --- forced allocation failure ------------------------------------------
-  // Same credit semantics as fail_generate: n > 0 fails the next n paged
-  // admission checks, n < 0 fails all of them, 0 disables.
-  void set_fail_alloc(std::int64_t n) {
-    fail_alloc_.store(n, std::memory_order_relaxed);
-  }
-  bool take_alloc_failure() { return take_credit(fail_alloc_); }
-
-  // --- forced scheduler stall ----------------------------------------------
-  // Same credit semantics: n > 0 stalls the next n scheduler iterations
-  // (no sequence makes progress; watchdog ages still advance), n < 0
-  // stalls forever (the watchdog must dig the batch out), 0 disables.
-  void set_stall_steps(std::int64_t n) {
-    stall_steps_.store(n, std::memory_order_relaxed);
-  }
-  bool take_stall_step() { return take_credit(stall_steps_); }
-
   // --- breaker-window poisoning -------------------------------------------
   // Same credit semantics: n > 0 forces the next n recorded outcomes to
   // count as breaker failures, n < 0 poisons every outcome, 0 disables.
@@ -123,9 +83,6 @@ class FaultInjector {
     set_slow_decode_after_tokens(-1);
     set_fail_generate(0);
     set_force_queue_full(false);
-    set_arena_exhaust_at_step(-1);
-    set_fail_alloc(0);
-    set_stall_steps(0);
     set_poison_breaker(0);
   }
 
@@ -145,9 +102,6 @@ class FaultInjector {
   std::atomic<std::int64_t> slow_decode_tokens_;
   std::atomic<std::int64_t> fail_generate_;
   std::atomic<bool> force_queue_full_;
-  std::atomic<std::int64_t> arena_exhaust_step_;
-  std::atomic<std::int64_t> fail_alloc_;
-  std::atomic<std::int64_t> stall_steps_;
   std::atomic<std::int64_t> poison_breaker_;
 };
 

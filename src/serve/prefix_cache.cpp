@@ -7,11 +7,20 @@ namespace wisdom::serve {
 
 namespace {
 
-// Fixed accounting overhead per entry: the token path (one trie node per
-// token) plus the entry bookkeeping. An estimate — the budget bounds the
-// dominant KV payload exactly and the structural overhead approximately.
+// Fixed accounting overhead per entry: an estimate of the token path (as
+// if stored one node per token) plus the entry bookkeeping. The budget
+// bounds the dominant KV payload exactly and the structural overhead
+// approximately.
 std::size_t path_overhead_bytes(std::size_t tokens) {
   return tokens * (sizeof(std::int32_t) + 2 * sizeof(void*)) + 128;
+}
+
+// Tokens `label` and `tokens` share from their start.
+std::size_t shared_length(std::span<const std::int32_t> label,
+                          std::span<const std::int32_t> tokens) {
+  std::size_t n = 0;
+  while (n < label.size() && n < tokens.size() && label[n] == tokens[n]) ++n;
+  return n;
 }
 
 }  // namespace
@@ -26,10 +35,39 @@ void PrefixKvCache::bind_metrics(const MetricHooks& hooks) {
   hooks_ = hooks;
 }
 
+std::vector<std::unique_ptr<PrefixKvCache::Node>>::iterator
+PrefixKvCache::Node::slot(std::int32_t token) {
+  return std::lower_bound(
+      children.begin(), children.end(), token,
+      [](const std::unique_ptr<Node>& c, std::int32_t t) {
+        return c->label.front() < t;
+      });
+}
+
+PrefixKvCache::Node* PrefixKvCache::Node::child(std::int32_t token) {
+  auto it = slot(token);
+  return it != children.end() && (*it)->label.front() == token ? it->get()
+                                                               : nullptr;
+}
+
+PrefixKvCache::Node* PrefixKvCache::split(Node* node, std::size_t keep) {
+  Node* parent = node->parent;
+  auto slot = parent->slot(node->label.front());
+  auto upper = std::make_unique<Node>();
+  upper->parent = parent;
+  upper->label.assign(node->label.begin(),
+                      node->label.begin() + static_cast<std::ptrdiff_t>(keep));
+  node->label.erase(node->label.begin(),
+                    node->label.begin() + static_cast<std::ptrdiff_t>(keep));
+  node->parent = upper.get();
+  upper->children.push_back(std::move(*slot));
+  *slot = std::move(upper);
+  return slot->get();
+}
+
 PrefixKvCache::Entry* PrefixKvCache::best_in_subtree(const Node* node) {
   Entry* best = node->entry.get();
-  for (const auto& [token, child] : node->children) {
-    (void)token;
+  for (const auto& child : node->children) {
     Entry* candidate = best_in_subtree(child.get());
     if (candidate && (!best || candidate->tick > best->tick))
       best = candidate;
@@ -50,8 +88,21 @@ void PrefixKvCache::remove_entry(Entry* entry) {
   // Prune the now-bare chain up to the root.
   while (node != root_.get() && !node->entry && node->children.empty()) {
     Node* parent = node->parent;
-    parent->children.erase(node->edge);
+    std::erase_if(parent->children, [node](const std::unique_ptr<Node>& c) {
+      return c.get() == node;
+    });
     node = parent;
+  }
+  // A node left with neither an entry nor a branch merges with its only
+  // child, keeping every path compressed.
+  if (node != root_.get() && !node->entry && node->children.size() == 1) {
+    std::unique_ptr<Node> only = std::move(node->children.front());
+    node->label.insert(node->label.end(), only->label.begin(),
+                       only->label.end());
+    node->children = std::move(only->children);
+    for (auto& child : node->children) child->parent = node;
+    node->entry = std::move(only->entry);
+    if (node->entry) node->entry->node = node;
   }
 }
 
@@ -96,11 +147,19 @@ std::optional<PrefixKvCache::Hit> PrefixKvCache::lookup(
   Node* node = root_.get();
   Entry* on_path = nullptr;
   std::size_t walked = 0;
-  for (std::int32_t token : tokens) {
-    auto it = node->children.find(token);
-    if (it == node->children.end()) break;
-    node = it->second.get();
-    ++walked;
+  while (walked < tokens.size()) {
+    Node* next = node->child(tokens[walked]);
+    if (!next) break;
+    const std::size_t shared =
+        shared_length(next->label, tokens.subspan(walked));
+    walked += shared;
+    if (shared < next->label.size()) {
+      // Diverged inside `next`'s edge: its subtree is what lies below the
+      // divergence point.
+      node = next;
+      break;
+    }
+    node = next;
     if (node->entry) on_path = node->entry.get();
   }
 
@@ -174,16 +233,24 @@ PrefixKvCache::InsertOutcome PrefixKvCache::insert(
   }
 
   Node* node = root_.get();
-  for (std::int32_t token : tokens) {
-    auto it = node->children.find(token);
-    if (it == node->children.end()) {
-      auto child = std::make_unique<Node>();
-      child->parent = node;
-      child->edge = token;
-      child->depth = node->depth + 1;
-      it = node->children.emplace(token, std::move(child)).first;
+  std::size_t at = 0;
+  while (at < tokens.size()) {
+    Node* next = node->child(tokens[at]);
+    if (!next) {
+      // A new leaf carries the whole remaining path.
+      auto leaf = std::make_unique<Node>();
+      leaf->parent = node;
+      leaf->label.assign(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                         tokens.end());
+      next = leaf.get();
+      node->children.insert(node->slot(tokens[at]), std::move(leaf));
+      node = next;
+      break;
     }
-    node = it->second.get();
+    const std::size_t shared = shared_length(next->label, tokens.subspan(at));
+    if (shared < next->label.size()) next = split(next, shared);
+    node = next;
+    at += shared;
   }
 
   if (node->entry) {

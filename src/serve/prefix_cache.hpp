@@ -3,7 +3,8 @@
 // Production traffic to a code-completion service is dominated by highly
 // similar prompts — the same playbook context re-sent as the user types
 // successive "- name:" lines — so most of each request's prefill recomputes
-// KV rows an earlier request already produced. This cache is a trie over
+// KV rows an earlier request already produced. This cache is a radix trie
+// (runs of tokens without a branch or a snapshot share one node) over
 // tokenized (kept) prompts whose nodes own compacted KvCache snapshots;
 // a lookup walks the request's tokens through the trie and returns a clone
 // of the best reusable snapshot, truncated to the shared span, so
@@ -28,11 +29,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "model/transformer.hpp"
 #include "obs/metrics.hpp"
@@ -137,17 +138,25 @@ class PrefixKvCache {
   };
   struct Node {
     Node* parent = nullptr;
-    std::int32_t edge = -1;  // token on the edge from the parent
-    int depth = 0;
-    std::map<std::int32_t, std::unique_ptr<Node>> children;
+    // Tokens on the edge from the parent; empty only at the root. Every
+    // other node holds an entry or branches, so a cached prompt costs a
+    // node or two rather than one per token.
+    std::vector<std::int32_t> label;
+    std::vector<std::unique_ptr<Node>> children;  // sorted by label[0]
     std::unique_ptr<Entry> entry;
+    // Where a child whose label starts with `token` is, or would go.
+    std::vector<std::unique_ptr<Node>>::iterator slot(std::int32_t token);
+    // The child whose label starts with `token`, or nullptr.
+    Node* child(std::int32_t token);
   };
 
   // The most recently used entry in `node`'s subtree (including itself);
   // nullptr when the subtree holds no snapshot.
   static Entry* best_in_subtree(const Node* node);
   void touch(Entry* entry);
-  void remove_entry(Entry* entry);  // + prunes the now-bare node chain
+  // Splits `node`'s edge after `keep` tokens; returns the new upper node.
+  static Node* split(Node* node, std::size_t keep);
+  void remove_entry(Entry* entry);  // + prunes and re-compresses the path
   void evict_to_budget();
   void expire_stale();
   void update_gauges();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <optional>
 #include <span>
 
 #include "analysis/rules.hpp"
@@ -230,48 +229,9 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.cache_response_entries = &registry_.gauge(
       "wisdom_cache_response_entries",
       "Responses currently memoized.");
-  // wisdom_sched_* / wisdom_kv_* families: registered even with continuous
-  // batching off, so the exposition always carries them.
-  h_.sched_inflight = &registry_.gauge(
-      "wisdom_sched_inflight_seqs",
-      "Sequences in flight in the continuous scheduler.");
-  h_.kv_blocks_in_use = &registry_.gauge(
-      "wisdom_kv_blocks_in_use", "Paged-KV arena blocks currently live.");
-  h_.kv_blocks_free = &registry_.gauge(
-      "wisdom_kv_blocks_free", "Paged-KV arena blocks on the free list.");
-  h_.sched_steps = &registry_.counter(
-      "wisdom_sched_steps_total",
-      "Batched forward steps taken by the continuous scheduler.");
-  h_.sched_admitted = &registry_.counter(
-      "wisdom_sched_admitted_total",
-      "Sequences admitted by the continuous scheduler.");
-  h_.sched_retired = &registry_.counter(
-      "wisdom_sched_retired_total",
-      "Sequences retired (finished or deadline-expired).");
-  h_.sched_monolithic_fallback = &registry_.counter(
-      "wisdom_sched_monolithic_fallback_total",
-      "Sequences denied a paged cache by arena exhaustion.");
-  h_.sched_admissions_per_step = &registry_.histogram(
-      "wisdom_sched_admissions_per_step", {},
-      "Sequences admitted between consecutive scheduler steps.");
-  h_.sched_batch_width = &registry_.histogram(
-      "wisdom_sched_batch_width", {},
-      "Sequences per batched forward step.");
-  // Overload-resilience families: preemption, breaker, drain. Registered
+  // Overload-resilience families: breaker, drain. Registered
   // unconditionally (like every family above) so the exposition and the
   // CI smoke grep see them at 0 whatever the configuration.
-  h_.sched_preempted = &registry_.counter(
-      "wisdom_sched_preempt_total",
-      "Sequences preempted by KV-block pressure (requeued for resume).");
-  h_.sched_preempt_blocks = &registry_.counter(
-      "wisdom_sched_preempt_blocks_released_total",
-      "KV blocks returned to the arena by preemptions.");
-  h_.sched_preempt_recompute = &registry_.counter(
-      "wisdom_sched_preempt_recompute_tokens_total",
-      "KV rows re-fed by warm-start resumes of preempted sequences.");
-  h_.sched_watchdog_retired = &registry_.counter(
-      "wisdom_sched_watchdog_retired_total",
-      "Wedged sequences force-retired (deadline-expired) by the watchdog.");
   h_.breaker_state = &registry_.gauge(
       "wisdom_breaker_state",
       "Circuit-breaker state: 0 closed, 1 open, 2 half-open.");
@@ -337,60 +297,6 @@ InferenceService::InferenceService(const model::Transformer& model,
       owned_draft_.reset();
     }
     if (!draft_) options_.speculative_k = 0;
-  }
-
-  if (options_.continuous_batching) {
-    if (options_.max_batch_sequences < 1) options_.max_batch_sequences = 1;
-    if (options_.kv_block_size < 1) options_.kv_block_size = 16;
-    const model::ModelConfig& config = model_.config();
-    const int blocks_per_seq =
-        (config.ctx + options_.kv_block_size - 1) / options_.kv_block_size;
-    int blocks = options_.kv_arena_blocks;
-    if (blocks <= 0) blocks = 4 * options_.max_batch_sequences * blocks_per_seq;
-    arena_ = std::make_unique<model::KvBlockAllocator>(
-        blocks, options_.kv_block_size, config.n_layer, config.d_model);
-    SchedulerOptions sched_options;
-    sched_options.max_in_flight = options_.max_batch_sequences;
-    sched_options.arena = arena_.get();
-    sched_options.max_preemptions_per_seq = options_.max_preemptions_per_seq;
-    sched_options.watchdog_iterations = options_.watchdog_iterations;
-    sched_options.faults = options_.faults;
-    if (draft_ && options_.speculative_k > 0) {
-      // Per-sequence draft caches page out of their own arena (the block
-      // geometry is tied to the draft's layer count and width, so the
-      // main arena cannot back them).
-      const model::ModelConfig& dconfig = draft_->config();
-      const int draft_blocks_per_seq =
-          (dconfig.ctx + options_.kv_block_size - 1) / options_.kv_block_size;
-      draft_arena_ = std::make_unique<model::KvBlockAllocator>(
-          2 * options_.max_batch_sequences * draft_blocks_per_seq,
-          options_.kv_block_size, dconfig.n_layer, dconfig.d_model);
-      sched_options.draft = draft_;
-      sched_options.speculative_k = options_.speculative_k;
-      sched_options.draft_arena = draft_arena_.get();
-    }
-    SchedulerMetrics sched_metrics;
-    sched_metrics.inflight = h_.sched_inflight;
-    sched_metrics.blocks_in_use = h_.kv_blocks_in_use;
-    sched_metrics.blocks_free = h_.kv_blocks_free;
-    sched_metrics.steps = h_.sched_steps;
-    sched_metrics.admitted = h_.sched_admitted;
-    sched_metrics.retired = h_.sched_retired;
-    sched_metrics.monolithic_fallbacks = h_.sched_monolithic_fallback;
-    sched_metrics.admissions_per_step = h_.sched_admissions_per_step;
-    sched_metrics.batch_width = h_.sched_batch_width;
-    sched_metrics.preempted = h_.sched_preempted;
-    sched_metrics.preempt_blocks_released = h_.sched_preempt_blocks;
-    sched_metrics.preempt_recompute_tokens = h_.sched_preempt_recompute;
-    sched_metrics.watchdog_retired = h_.sched_watchdog_retired;
-    sched_metrics.spec_proposed = h_.spec_proposed;
-    sched_metrics.spec_accepted = h_.spec_accepted;
-    sched_metrics.spec_rejected = h_.spec_rejected;
-    sched_metrics.spec_verify_steps = h_.spec_verify_steps;
-    sched_metrics.spec_draft_steps = h_.spec_draft_steps;
-    sched_metrics.spec_commit_per_verify = h_.spec_commit_per_verify;
-    scheduler_ = std::make_unique<ContinuousScheduler>(model_, sched_options,
-                                                       sched_metrics);
   }
 
   if (options_.prefix_cache_enabled) {
@@ -497,163 +403,6 @@ LintOutcome InferenceService::run_lint_gate(std::string_view snippet,
   return outcome;
 }
 
-bool InferenceService::pre_generate(const SuggestionRequest& request,
-                                    obs::TraceContext& trace,
-                                    GenPrep& prep) const {
-  prep.start = std::chrono::steady_clock::now();
-  SuggestionResponse& response = prep.response;
-  if (request.prompt.empty() || request.indent < 0) {
-    response.error = ServiceError::InvalidRequest;
-    response.latency_ms = elapsed_ms(prep.start);
-    prep.done = true;
-    return true;
-  }
-
-  std::string pad(static_cast<std::size_t>(request.indent), ' ');
-  prep.name_line = pad + "- name: " + request.prompt + "\n";
-
-  // Level 2 first: an exact repeat replays the full prior response before
-  // the model (or the fault injector — a memo hit never touches either) is
-  // consulted. Only non-degraded successes are ever memoized, so the
-  // replayed bytes equal what a fresh decode would produce.
-  if (response_cache_) {
-    auto cache_span = trace.span("cache");
-    if (auto memo = response_cache_->lookup(memo_key(request))) {
-      response = std::move(*memo);
-      response.latency_ms = elapsed_ms(prep.start);
-      prep.done = true;
-      return true;
-    }
-  }
-
-  if (options_.faults && options_.faults->take_generate_failure()) {
-    response.error = ServiceError::GenerateFailed;
-    if (options_.fallback_enabled)
-      apply_fallback(request, trace, &response);
-    response.latency_ms = elapsed_ms(prep.start);
-    prep.done = true;
-    return true;
-  }
-
-  {
-    auto tokenize_span = trace.span("tokenize");
-    std::string input_text = request.context + prep.name_line;
-    prep.ids = tokenizer_.encode(input_text);
-  }
-  prep.gen.max_new_tokens = options_.max_new_tokens;
-  prep.gen.stop_token = text::BpeTokenizer::kEndOfText;
-  prep.gen.deadline = request_deadline(request);
-  prep.gen.trace = &trace;
-  prep.gen.status = &prep.status;
-
-  // Level 1: warm-start generation from the deepest cached KV snapshot
-  // sharing a token prefix with this prompt, and capture a snapshot of the
-  // full prefilled prompt for future requests. Keyed on the kept prompt —
-  // exactly the tokens generate() feeds the model after left-truncation.
-  if (prefix_cache_) {
-    auto cache_span = trace.span("cache");
-    prep.kept = model_.kept_prompt(prep.ids, prep.gen.max_new_tokens);
-    if (auto hit = prefix_cache_->lookup(prep.kept)) {
-      prep.warm = std::move(hit->cache);
-      prep.gen.warm_cache = &prep.warm;
-      prep.has_warm = true;
-      response.cached = true;
-    }
-    prep.gen.prompt_snapshot = &prep.snapshot;
-  }
-  return false;
-}
-
-void InferenceService::post_generate(const SuggestionRequest& request,
-                                     obs::TraceContext& trace,
-                                     std::vector<std::int32_t> out,
-                                     GenPrep& prep) const {
-  SuggestionResponse& response = prep.response;
-  const model::Transformer::GenerateStatus& status = prep.status;
-
-  // Store the prefilled prompt whenever prefill completed — KV rows are
-  // valid even when the decode after them degraded (deadline salvage,
-  // empty generation): prefill is a pure function of the prompt tokens.
-  if (prefix_cache_ &&
-      prep.snapshot.length == static_cast<int>(prep.kept.size()) &&
-      prep.snapshot.length > 0) {
-    auto cache_span = trace.span("cache");
-    prefix_cache_->insert(prep.kept, std::move(prep.snapshot));
-  }
-
-  std::string body;
-  {
-    auto postprocess_span = trace.span("postprocess");
-    body = core::trim_generation(tokenizer_.decode(out));
-    body = core::truncate_to_first_task(
-        body, static_cast<std::size_t>(request.indent));
-  }
-  response.generated_tokens = static_cast<int>(out.size());
-  const std::string& name_line = prep.name_line;
-
-  if (status.deadline_expired) {
-    response.error = ServiceError::DeadlineExceeded;
-    // Salvage the partial decode when it forms a valid task — the lint
-    // gate gets first crack, so under a repairing policy a partial that is
-    // one auto-fix away from valid is repaired and salvaged rather than
-    // thrown away. Otherwise answer from the deterministic fallback.
-    // Either way the editor gets a schema-checked snippet in budget.
-    LintOutcome gate;
-    bool salvaged = false;
-    if (!body.empty()) {
-      gate = run_lint_gate(name_line + body, trace);
-      salvaged = gate.schema_correct && !gate.rejected;
-    }
-    if (salvaged) {
-      response.ok = true;
-      response.degraded = true;
-      response.snippet = std::move(gate.snippet);
-      response.schema_correct = true;
-      response.repaired = gate.repaired;
-      response.diagnostics = std::move(gate.diagnostics);
-    } else if (options_.fallback_enabled) {
-      apply_fallback(request, trace, &response);
-    }
-  } else {
-    response.ok = !body.empty();
-    response.snippet = name_line + body;
-    if (!response.ok && options_.lint_policy == LintPolicy::RejectDegraded) {
-      // An empty generation cannot pass the gate either: reject it the
-      // same way, so every response under this policy is a schema-correct
-      // snippet (or an explicit refusal when the fallback is off).
-      response.error = ServiceError::LintRejected;
-      response.snippet.clear();
-      h_.lint_rejected->inc();
-      if (options_.fallback_enabled) apply_fallback(request, trace, &response);
-    } else if (response.ok) {
-      LintOutcome gate = run_lint_gate(response.snippet, trace);
-      response.schema_correct = gate.schema_correct;
-      if (gate.rejected) {
-        // RejectDegraded: never serve a snippet still carrying errors.
-        // The rejected snippet's diagnostics stay on the response so the
-        // client can see why its model suggestion was refused.
-        response.error = ServiceError::LintRejected;
-        response.diagnostics = std::move(gate.diagnostics);
-        response.ok = false;
-        response.snippet.clear();
-        if (options_.fallback_enabled) apply_fallback(request, trace, &response);
-      } else {
-        response.snippet = std::move(gate.snippet);
-        response.repaired = gate.repaired;
-        response.diagnostics = std::move(gate.diagnostics);
-      }
-    }
-  }
-  // Memoize only full-fidelity successes; degraded and failed responses
-  // depend on deadlines and fault state, not just the request key.
-  if (response_cache_ && response.ok && !response.degraded &&
-      response.error == ServiceError::None) {
-    auto cache_span = trace.span("cache");
-    response_cache_->insert(memo_key(request), response);
-  }
-  response.latency_ms = elapsed_ms(prep.start);
-}
-
 // Streams the stable prefix of the response body as tokens decode.
 //
 // The postprocess pipeline (trim_generation + truncate_to_first_task)
@@ -736,50 +485,184 @@ class InferenceService::StreamEmitter {
 SuggestionResponse InferenceService::run_one(
     const SuggestionRequest& request, obs::TraceContext& trace,
     StreamEmitter* emitter) const {
-  GenPrep prep;
-  if (pre_generate(request, trace, prep)) return std::move(prep.response);
+  auto start = std::chrono::steady_clock::now();
+  SuggestionResponse response;
+  if (request.prompt.empty() || request.indent < 0) {
+    response.error = ServiceError::InvalidRequest;
+    response.latency_ms = elapsed_ms(start);
+    return response;
+  }
+
+  std::string pad(static_cast<std::size_t>(request.indent), ' ');
+  std::string name_line = pad + "- name: " + request.prompt + "\n";
+
+  // Level 2 first: an exact repeat replays the full prior response before
+  // the model (or the fault injector — a memo hit never touches either) is
+  // consulted. Only non-degraded successes are ever memoized, so the
+  // replayed bytes equal what a fresh decode would produce.
+  if (response_cache_) {
+    auto cache_span = trace.span("cache");
+    if (auto memo = response_cache_->lookup(memo_key(request))) {
+      response = std::move(*memo);
+      response.latency_ms = elapsed_ms(start);
+      return response;
+    }
+  }
+
+  if (options_.faults && options_.faults->take_generate_failure()) {
+    response.error = ServiceError::GenerateFailed;
+    if (options_.fallback_enabled)
+      apply_fallback(request, trace, &response);
+    response.latency_ms = elapsed_ms(start);
+    return response;
+  }
+
+  std::vector<std::int32_t> ids;
+  {
+    auto tokenize_span = trace.span("tokenize");
+    std::string input_text = request.context + name_line;
+    ids = tokenizer_.encode(input_text);
+  }
+  model::Transformer::GenerateStatus status;
+  model::Transformer::GenerateOptions gen;
+  gen.max_new_tokens = options_.max_new_tokens;
+  gen.stop_token = text::BpeTokenizer::kEndOfText;
+  gen.deadline = request_deadline(request);
+  gen.trace = &trace;
+  gen.status = &status;
   if (emitter && emitter->streaming_tokens())
-    prep.gen.on_token = [emitter](std::int32_t token) {
-      emitter->on_token(token);
-    };
+    gen.on_token = [emitter](std::int32_t token) { emitter->on_token(token); };
+
+  // Level 1: warm-start generation from the deepest cached KV snapshot
+  // sharing a token prefix with this prompt, and capture a snapshot of the
+  // full prefilled prompt for future requests. Keyed on the kept prompt —
+  // exactly the tokens generate() feeds the model after left-truncation.
+  std::span<const std::int32_t> kept;
+  model::Transformer::KvCache warm, snapshot;
+  if (prefix_cache_) {
+    auto cache_span = trace.span("cache");
+    kept = model_.kept_prompt(ids, gen.max_new_tokens);
+    if (auto hit = prefix_cache_->lookup(kept)) {
+      warm = std::move(hit->cache);
+      gen.warm_cache = &warm;
+      response.cached = true;
+    }
+    gen.prompt_snapshot = &snapshot;
+  }
+
   std::vector<std::int32_t> out;
   {
     auto generate_span = trace.span("generate");
     if (options_.beam_width > 1) {
       // Beam-configured service: decode through generate_beam with the
-      // same budget/deadline/cache wiring as the greedy path. The
-      // continuous scheduler is greedy-only, so beam requests always take
-      // this per-request route (suggest_batch bypasses the scheduler).
+      // same budget/deadline/cache wiring as the greedy path.
       model::Transformer::BeamOptions beam;
       beam.beam_width = options_.beam_width;
-      beam.max_new_tokens = prep.gen.max_new_tokens;
-      beam.stop_token = prep.gen.stop_token;
+      beam.max_new_tokens = gen.max_new_tokens;
+      beam.stop_token = gen.stop_token;
       beam.length_penalty = options_.beam_length_penalty;
-      beam.deadline = prep.gen.deadline;
-      beam.status = prep.gen.status;
-      beam.trace = prep.gen.trace;
-      beam.warm_cache = prep.gen.warm_cache;
-      beam.prompt_snapshot = prep.gen.prompt_snapshot;
-      out = model_.generate_beam(prep.ids, beam);
+      beam.deadline = gen.deadline;
+      beam.status = gen.status;
+      beam.trace = gen.trace;
+      beam.warm_cache = gen.warm_cache;
+      beam.prompt_snapshot = gen.prompt_snapshot;
+      out = model_.generate_beam(ids, beam);
     } else if (draft_ && options_.speculative_k > 0) {
       // Speculative greedy decode: byte-identical to model_.generate()
       // (greedy acceptance), so every downstream consumer — postprocess,
       // caches, goldens, streaming — sees exactly the baseline bytes.
-      // Each request drafts into its own monolithic cache here (the
-      // paged draft arena is the scheduler's; this path is concurrent).
       model::SpeculativeStats spec_stats;
       model::SpeculativeOptions spec;
       spec.draft = draft_;
       spec.k = options_.speculative_k;
       spec.stats = &spec_stats;
-      out = model::generate_speculative(model_, prep.ids, prep.gen, spec);
+      out = model::generate_speculative(model_, ids, gen, spec);
       record_speculation(spec_stats);
     } else {
-      out = model_.generate(prep.ids, prep.gen);
+      out = model_.generate(ids, gen);
     }
   }
-  post_generate(request, trace, std::move(out), prep);
-  return std::move(prep.response);
+
+  // Store the prefilled prompt whenever prefill completed — KV rows are
+  // valid even when the decode after them degraded (deadline salvage,
+  // empty generation): prefill is a pure function of the prompt tokens.
+  if (prefix_cache_ && snapshot.length == static_cast<int>(kept.size()) &&
+      snapshot.length > 0) {
+    auto cache_span = trace.span("cache");
+    prefix_cache_->insert(kept, std::move(snapshot));
+  }
+
+  std::string body;
+  {
+    auto postprocess_span = trace.span("postprocess");
+    body = core::trim_generation(tokenizer_.decode(out));
+    body = core::truncate_to_first_task(
+        body, static_cast<std::size_t>(request.indent));
+  }
+  response.generated_tokens = static_cast<int>(out.size());
+
+  if (status.deadline_expired) {
+    response.error = ServiceError::DeadlineExceeded;
+    // Salvage the partial decode when it forms a valid task — the lint
+    // gate gets first crack, so under a repairing policy a partial that is
+    // one auto-fix away from valid is repaired and salvaged rather than
+    // thrown away. Otherwise answer from the deterministic fallback.
+    // Either way the editor gets a schema-checked snippet in budget.
+    LintOutcome gate;
+    bool salvaged = false;
+    if (!body.empty()) {
+      gate = run_lint_gate(name_line + body, trace);
+      salvaged = gate.schema_correct && !gate.rejected;
+    }
+    if (salvaged) {
+      response.ok = true;
+      response.degraded = true;
+      response.snippet = std::move(gate.snippet);
+      response.schema_correct = true;
+      response.repaired = gate.repaired;
+      response.diagnostics = std::move(gate.diagnostics);
+    } else if (options_.fallback_enabled) {
+      apply_fallback(request, trace, &response);
+    }
+  } else {
+    response.ok = !body.empty();
+    response.snippet = name_line + body;
+    if (!response.ok && options_.lint_policy == LintPolicy::RejectDegraded) {
+      // An empty generation cannot pass the gate either: reject it the
+      // same way, so every response under this policy is a schema-correct
+      // snippet (or an explicit refusal when the fallback is off).
+      response.error = ServiceError::LintRejected;
+      response.snippet.clear();
+      h_.lint_rejected->inc();
+      if (options_.fallback_enabled) apply_fallback(request, trace, &response);
+    } else if (response.ok) {
+      LintOutcome gate = run_lint_gate(response.snippet, trace);
+      response.schema_correct = gate.schema_correct;
+      if (gate.rejected) {
+        // RejectDegraded: never serve a snippet still carrying errors.
+        // The rejected snippet's diagnostics stay on the response so the
+        // client can see why its model suggestion was refused.
+        response.error = ServiceError::LintRejected;
+        response.diagnostics = std::move(gate.diagnostics);
+        response.ok = false;
+        response.snippet.clear();
+        if (options_.fallback_enabled) apply_fallback(request, trace, &response);
+      } else {
+        response.snippet = std::move(gate.snippet);
+        response.repaired = gate.repaired;
+        response.diagnostics = std::move(gate.diagnostics);
+      }
+    }
+  }
+  // Memoize only full-fidelity successes; degraded and failed responses
+  // depend on deadlines and fault state, not just the request key.
+  if (response_cache_ && response.ok && !response.degraded &&
+      response.error == ServiceError::None) {
+    auto cache_span = trace.span("cache");
+    response_cache_->insert(memo_key(request), response);
+  }
+  response.latency_ms = elapsed_ms(start);
+  return response;
 }
 
 SuggestionResponse InferenceService::run_shed(
@@ -1038,150 +921,6 @@ SuggestionResponse InferenceService::suggest_serving(
   return response;
 }
 
-std::vector<SuggestionResponse> InferenceService::suggest_batch_continuous(
-    const std::vector<SuggestionRequest>& requests) {
-  std::lock_guard<std::mutex> batch_lock(batch_mu_);
-  auto start = std::chrono::steady_clock::now();
-  const std::size_t n = requests.size();
-  // Admission in arrival order, exactly like the request-level path:
-  // breaker gate first (a short-circuited arrival never consumes a queue
-  // slot), then the bounded queue.
-  std::vector<CircuitBreaker::Admission> gate(
-      n, CircuitBreaker::Admission::Allow);
-  std::vector<char> admitted(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (breaker_) gate[i] = breaker_->admit();
-    admitted[i] = gate[i] != CircuitBreaker::Admission::ShortCircuit &&
-                          try_admit()
-                      ? 1
-                      : 0;
-  }
-  const std::uint64_t base_seq = trace_seq_.fetch_add(
-      static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-  if (obs::enabled())
-    h_.inflight->set(static_cast<double>(queue_.in_flight()));
-
-  // Per-request trace plus the pre/post state; sized once so the
-  // GenerateOptions' back-pointers into each GenPrep stay valid.
-  struct Slot {
-    obs::Trace local_trace;
-    obs::Trace* sink = nullptr;
-    std::uint64_t id = 0;
-    std::optional<obs::TraceContext> trace;
-    std::optional<obs::TraceContext::Scope> root;
-    std::optional<obs::TraceContext::Scope> generate_span;
-    GenPrep prep;
-  };
-  std::vector<Slot> slots(n);
-
-  // Pre phase, strictly in arrival order: shed/memo/fault/tokenize/prefix
-  // lookup — so fault credits and admission decisions land on the same
-  // requests as sequential serving.
-  for (std::size_t i = 0; i < n; ++i) {
-    Slot& slot = slots[i];
-    const SuggestionRequest& request = requests[i];
-    slot.sink = request.trace ? request.trace : &slot.local_trace;
-    slot.id = obs::trace_id(base_seq + static_cast<std::uint64_t>(i),
-                            request.prompt);
-    slot.trace.emplace(slot.sink, slot.id);
-    slot.root = slot.trace->span("request");
-    {
-      auto admission_span = slot.trace->span("admission");
-    }
-    if (gate[i] == CircuitBreaker::Admission::ShortCircuit) {
-      slot.prep.response = run_short_circuit(request, *slot.trace);
-      slot.prep.done = true;
-    } else if (!admitted[i]) {
-      slot.prep.response = run_shed(request, *slot.trace);
-      slot.prep.done = true;
-    } else {
-      pre_generate(request, *slot.trace, slot.prep);
-    }
-  }
-
-  // One scheduler pass over every request that reached generation. The
-  // scheduler replicates generate()'s token-level actions per sequence,
-  // so each out[k] is byte-identical to the sequential path.
-  std::vector<SeqRequest> seq_requests;
-  std::vector<std::size_t> slot_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    GenPrep& prep = slots[i].prep;
-    if (prep.done) continue;
-    slots[i].generate_span = slots[i].trace->span("generate");
-    SeqRequest seq;
-    seq.prompt = prep.ids;
-    seq.max_new_tokens = prep.gen.max_new_tokens;
-    seq.stop_token = prep.gen.stop_token;
-    seq.temperature = prep.gen.temperature;
-    seq.top_k = prep.gen.top_k;
-    seq.sample_seed = prep.gen.sample_seed;
-    seq.deadline = prep.gen.deadline;
-    seq.status = &prep.status;
-    seq.trace = &*slots[i].trace;
-    seq.warm_cache = prep.has_warm ? &prep.warm : nullptr;
-    seq.prompt_snapshot = prefix_cache_ ? &prep.snapshot : nullptr;
-    seq.on_token = prep.gen.on_token;
-    seq_requests.push_back(std::move(seq));
-    slot_of.push_back(i);
-  }
-  std::vector<std::vector<std::int32_t>> outs;
-  if (!seq_requests.empty()) {
-    outs = scheduler_->run(seq_requests);
-    // The scheduler bumps the wisdom_spec_* counters live through its
-    // metric handles; derive the acceptance-rate gauge from the totals.
-    const std::uint64_t proposed = h_.spec_proposed->value();
-    if (proposed > 0)
-      h_.spec_acceptance->set(
-          static_cast<double>(h_.spec_accepted->value()) /
-          static_cast<double>(proposed));
-  }
-
-  // Post phase, again in arrival order (snapshot/memo insert order matches
-  // sequential serving).
-  for (std::size_t k = 0; k < seq_requests.size(); ++k) {
-    Slot& slot = slots[slot_of[k]];
-    slot.generate_span.reset();
-    post_generate(requests[slot_of[k]], *slot.trace, std::move(outs[k]),
-                  slot.prep);
-  }
-
-  std::vector<SuggestionResponse> responses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Slot& slot = slots[i];
-    slot.root.reset();
-    if (slot.trace->active()) {
-      slot.prep.response.trace_id = requests[i].trace_id.empty()
-                                        ? obs::trace_id_hex(slot.id)
-                                        : requests[i].trace_id;
-      slot.prep.response.server_timing_ms = slot.sink->stage_totals();
-      observe_stages(*slot.sink);
-    }
-    responses[i] = std::move(slot.prep.response);
-  }
-
-  for (std::size_t i = 0; i < n; ++i)
-    if (admitted[i]) queue_.release();
-  if (obs::enabled())
-    h_.inflight->set(static_cast<double>(queue_.in_flight()));
-  double wall = elapsed_ms(start);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    h_.offered->inc();
-    if (gate[i] == CircuitBreaker::Admission::ShortCircuit) {
-      record_response(responses[i]);
-      continue;
-    }
-    breaker_record(responses[i]);
-    if (!admitted[i]) {
-      h_.shed->inc();
-      if (options_.shed_policy == ShedPolicy::RejectNewest) continue;
-    }
-    record_response(responses[i]);
-  }
-  h_.wall_ms->add(wall);
-  return responses;
-}
-
 std::vector<SuggestionResponse> InferenceService::suggest_batch(
     const std::vector<SuggestionRequest>& requests) {
   if (!enter_serving()) {
@@ -1189,19 +928,6 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch(
     for (auto& response : refused) response = drain_refusal();
     return refused;
   }
-  // The continuous scheduler replicates greedy generate() token-for-token;
-  // a beam-configured service serves batches on the thread-pool path,
-  // where run_one routes each request through generate_beam.
-  std::vector<SuggestionResponse> responses =
-      scheduler_ && options_.beam_width <= 1
-          ? suggest_batch_continuous(requests)
-          : suggest_batch_pooled(requests);
-  exit_serving();
-  return responses;
-}
-
-std::vector<SuggestionResponse> InferenceService::suggest_batch_pooled(
-    const std::vector<SuggestionRequest>& requests) {
   auto start = std::chrono::steady_clock::now();
   const std::size_t n = requests.size();
   // Admission in arrival order, before the fan-out: with capacity C on an
@@ -1256,6 +982,7 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch_pooled(
     record_response(responses[i]);
   }
   h_.wall_ms->add(wall);
+  exit_serving();
   return responses;
 }
 

@@ -6,13 +6,9 @@
 // coding assistant must respond interactively, which is why Wisdom ships
 // the 350M model rather than the 2.7B one).
 //
-// suggest_batch() serves N requests through the continuous batcher: one
-// iteration-level scheduler merges every in-flight sequence into a single
-// batched forward step per token over paged KV blocks (see scheduler.hpp
-// and kv_block.hpp), admitting and retiring sequences between steps. With
-// continuous_batching off it falls back to fanning whole requests out
-// across util::ThreadPool::global(). Either way the batched responses are
-// byte-identical to N sequential suggest() calls.
+// suggest_batch() serves N requests by fanning whole requests out across
+// util::ThreadPool::global(); the batched responses are byte-identical to
+// N sequential suggest() calls.
 //
 // The serving path is deadline-aware and failure-tolerant end to end:
 //   * every request decodes under a deadline (per-request override or the
@@ -51,19 +47,16 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "model/kv_block.hpp"
 #include "model/speculative.hpp"
 #include "model/transformer.hpp"
 #include "obs/metrics.hpp"
@@ -75,7 +68,6 @@
 #include "serve/prefix_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/response_cache.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/types.hpp"
 #include "text/bpe.hpp"
 #include "util/deadline.hpp"
@@ -85,9 +77,7 @@ namespace wisdom::serve {
 struct ServiceOptions {
   int max_new_tokens = 56;
   // Decoding strategy: <= 1 decodes greedily (seed behaviour); widths > 1
-  // serve through Transformer::generate_beam. Beam requests bypass the
-  // continuous scheduler (iteration-level batching is greedy-only) — a
-  // beam-configured service serves batches on the thread-pool path.
+  // serve through Transformer::generate_beam.
   int beam_width = 1;
   // Length normalization for beam scoring (score / length^penalty).
   float beam_length_penalty = 0.6f;
@@ -119,23 +109,6 @@ struct ServiceOptions {
   // TTL for both caches, measured in cache lookups (a request count, not
   // wall time — deterministic under test); 0 disables expiry.
   std::uint64_t cache_ttl_requests = 0;
-  // --- continuous batching (iteration-level scheduler) -------------------
-  // Serve suggest_batch() through the ContinuousScheduler: one batched
-  // forward step per token across every in-flight request, admissions
-  // between steps, paged KV memory. Responses stay byte-identical to the
-  // request-level path (and to sequential suggest() calls); turning this
-  // off restores the whole-request thread-pool fan-out.
-  bool continuous_batching = true;
-  // Tokens per KV block in the paged arena.
-  int kv_block_size = 16;
-  // Max sequences decoded together per scheduler step (in-flight cap).
-  int max_batch_sequences = 8;
-  // Arena capacity in blocks; <= 0 sizes it automatically (4x the
-  // worst-case working set of max_batch_sequences full-context sequences,
-  // the surplus backing block-sharing prefix-cache snapshots). When the
-  // arena is exhausted, sequences fall back to monolithic caches —
-  // serving never fails for lack of blocks.
-  int kv_arena_blocks = 0;
   // --- speculative decoding -----------------------------------------------
   // Draft tokens proposed per verify round; <= 0 disables speculation (the
   // seed behaviour, preserved exactly). With a draft configured, greedy
@@ -155,12 +128,6 @@ struct ServiceOptions {
   // for lack of a draft).
   std::string draft_checkpoint;
   // --- overload resilience ------------------------------------------------
-  // KV-pressure preemption cap: a sequence preempted this many times is
-  // exempt from further preemption (see SchedulerOptions).
-  int max_preemptions_per_seq = 2;
-  // Scheduler watchdog bound in iterations; <= 0 derives one (see
-  // SchedulerOptions::watchdog_iterations).
-  int watchdog_iterations = 0;
   // Admission circuit breaker: past a rolling-window failure-rate
   // threshold, arrivals short-circuit to the deterministic fallback with
   // ServiceError::CircuitOpen instead of burning decode budget against a
@@ -269,10 +236,9 @@ class InferenceService {
   SuggestionResponse suggest_stream(const SuggestionRequest& request,
                                     const TokenSink& sink);
 
-  // Serves a batch through the continuous scheduler (or, with
-  // continuous_batching off, concurrently on the global thread pool).
-  // Responses align with requests by index and match sequential suggest()
-  // calls exactly (greedy decoding, shared read-only model). Admission is
+  // Serves a batch concurrently on the global thread pool. Responses
+  // align with requests by index and match sequential suggest() calls
+  // exactly (greedy decoding, shared read-only model). Admission is
   // decided in arrival order before any serving (reject-newest: with
   // capacity C and an otherwise idle service, the first C requests are
   // admitted and the rest shed — deterministically). Stats count each
@@ -378,25 +344,9 @@ class InferenceService {
     obs::Counter* lint_repaired = nullptr;
     obs::Counter* lint_rejected = nullptr;
     std::map<std::string, obs::Counter*, std::less<>> lint_rules;
-    // Continuous-batching scheduler and paged-KV arena gauges
-    // (wisdom_sched_* / wisdom_kv_*). Registered unconditionally so the
-    // families are visible at 0 even with continuous batching disabled.
-    obs::Gauge* sched_inflight = nullptr;
-    obs::Gauge* kv_blocks_in_use = nullptr;
-    obs::Gauge* kv_blocks_free = nullptr;
-    obs::Counter* sched_steps = nullptr;
-    obs::Counter* sched_admitted = nullptr;
-    obs::Counter* sched_retired = nullptr;
-    obs::Counter* sched_monolithic_fallback = nullptr;
-    obs::Histogram* sched_admissions_per_step = nullptr;
-    obs::Histogram* sched_batch_width = nullptr;
-    // Overload-resilience families (wisdom_sched_preempt_* /
-    // wisdom_breaker_* / wisdom_drain_*). Registered unconditionally so
-    // they are scrapeable at 0 whatever the configuration.
-    obs::Counter* sched_preempted = nullptr;
-    obs::Counter* sched_preempt_blocks = nullptr;
-    obs::Counter* sched_preempt_recompute = nullptr;
-    obs::Counter* sched_watchdog_retired = nullptr;
+    // Overload-resilience families (wisdom_breaker_* / wisdom_drain_*).
+    // Registered unconditionally so they are scrapeable at 0 whatever the
+    // configuration.
     obs::Gauge* breaker_state = nullptr;
     obs::Counter* breaker_opened = nullptr;
     obs::Counter* breaker_closed = nullptr;
@@ -420,24 +370,6 @@ class InferenceService {
     obs::Histogram* stage_verify = nullptr;
   };
 
-  // State carried between pre_generate() and post_generate(): everything
-  // run_one() builds before the model is consulted, plus the out-params
-  // generation fills in. Must not move between the two calls — the
-  // GenerateOptions point back into it.
-  struct GenPrep {
-    std::chrono::steady_clock::time_point start;
-    SuggestionResponse response;
-    std::string name_line;
-    std::vector<std::int32_t> ids;
-    std::span<const std::int32_t> kept;  // into ids
-    model::Transformer::KvCache warm;
-    bool has_warm = false;
-    model::Transformer::KvCache snapshot;
-    model::Transformer::GenerateStatus status;
-    model::Transformer::GenerateOptions gen;
-    bool done = false;  // response finalized without generation
-  };
-
   // Which pipeline a request takes after admission decisions: the full
   // model path, the shed path (queue refusal), or the breaker's
   // short-circuit (open circuit, fallback-only).
@@ -458,19 +390,6 @@ class InferenceService {
   SuggestionResponse run_one(const SuggestionRequest& request,
                              obs::TraceContext& trace,
                              StreamEmitter* emitter = nullptr) const;
-  // run_one() split at the generate call, so the continuous batcher can
-  // run each half per request around one shared scheduler pass. Returns
-  // true when the response is already final (invalid request, memo hit,
-  // injected failure) and generation must be skipped.
-  bool pre_generate(const SuggestionRequest& request,
-                    obs::TraceContext& trace, GenPrep& prep) const;
-  void post_generate(const SuggestionRequest& request,
-                     obs::TraceContext& trace, std::vector<std::int32_t> out,
-                     GenPrep& prep) const;
-  // suggest_batch() via the ContinuousScheduler: per-request pre/post
-  // halves in arrival order around one iteration-level scheduler run.
-  std::vector<SuggestionResponse> suggest_batch_continuous(
-      const std::vector<SuggestionRequest>& requests);
   // Response for a request refused admission: an Overloaded rejection or,
   // under DegradeNewest, a fallback suggestion.
   SuggestionResponse run_shed(const SuggestionRequest& request,
@@ -493,8 +412,6 @@ class InferenceService {
   // suggest()/suggest_batch() bodies once past the lifecycle gate.
   SuggestionResponse suggest_serving(const SuggestionRequest& request,
                                      StreamEmitter* emitter = nullptr);
-  std::vector<SuggestionResponse> suggest_batch_pooled(
-      const std::vector<SuggestionRequest>& requests);
   // Fills `response` from the fallback suggester (degraded path).
   void apply_fallback(const SuggestionRequest& request,
                       obs::TraceContext& trace,
@@ -526,18 +443,9 @@ class InferenceService {
   FallbackSuggester fallback_;
   AdmissionQueue queue_;
   // Speculative decoding: the resolved draft (borrowed from options or
-  // owned via draft_checkpoint; null = speculation off) and the paged
-  // arena backing the scheduler's per-sequence draft caches.
+  // owned via draft_checkpoint; null = speculation off).
   std::unique_ptr<model::Transformer> owned_draft_;
   const model::Transformer* draft_ = nullptr;
-  std::unique_ptr<model::KvBlockAllocator> draft_arena_;
-  // Paged-KV arena and iteration-level scheduler (continuous batching).
-  // Declared before prefix_cache_: cached snapshots share arena blocks,
-  // so the trie must release them before the arena is torn down.
-  std::unique_ptr<model::KvBlockAllocator> arena_;
-  std::unique_ptr<ContinuousScheduler> scheduler_;
-  // Serializes continuous batch runs (the scheduler is single-caller).
-  std::mutex batch_mu_;
   // Null when the corresponding ServiceOptions flag is off. Both caches
   // are internally synchronized; run_one (const) uses them from every
   // serving thread.

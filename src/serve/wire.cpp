@@ -9,30 +9,11 @@
 #include <variant>
 #include <vector>
 
+#include "util/strings.hpp"
+
 namespace wisdom::serve {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 namespace {
 
@@ -227,7 +208,7 @@ class JsonParser {
             if (ec != std::errc() || p != text_.data() + pos_ + 4)
               return std::nullopt;
             pos_ += 4;
-            // Only Latin-1 escapes are produced by json_escape.
+            // Only Latin-1 escapes are produced by util::json_escape.
             if (code > 0xFF) return std::nullopt;
             out += static_cast<char>(code);
             break;

@@ -52,7 +52,4 @@ std::optional<SuggestionRequest> request_from_json(std::string_view json);
 std::string to_json(const SuggestionResponse& response);
 std::optional<SuggestionResponse> response_from_json(std::string_view json);
 
-// JSON string escaping (exposed for tests).
-std::string json_escape(std::string_view text);
-
 }  // namespace wisdom::serve

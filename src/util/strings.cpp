@@ -147,4 +147,28 @@ bool is_integer(std::string_view text) {
   return true;
 }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  for (unsigned char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          static const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out += hex[c >> 4];
+          out += hex[c & 0xF];
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace wisdom::util

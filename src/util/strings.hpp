@@ -45,4 +45,9 @@ std::string fmt_fixed(double value, int decimals);
 // True if the text parses completely as a decimal integer.
 bool is_integer(std::string_view text);
 
+// The body of a JSON string literal for `text` (no surrounding quotes):
+// quote, backslash, \n, \r and \t get their short escapes, every other
+// control byte a \u00XX escape; all other bytes pass through unchanged.
+std::string json_escape(std::string_view text);
+
 }  // namespace wisdom::util

@@ -182,6 +182,42 @@ TEST(PrefixCache, DivergentRequestReusesSharedSpan) {
   EXPECT_FALSE(cache.lookup(seq({9, 9, 9})).has_value());
 }
 
+// Paths share trie nodes only up to where they branch: inserting splits
+// edges, and dropping entries merges the leftover pass-through nodes back.
+// Lookups must see the same spans either way.
+TEST(PrefixCache, EdgeSplitsAndMergesKeepLookupsExact) {
+  ws::PrefixCacheOptions options;
+  options.ttl_lookups = 3;
+  ws::PrefixKvCache cache(options);
+  const auto a = seq({1, 2, 3, 4, 5});
+  cache.insert(a, fake_snapshot(5));
+  cache.insert(seq({1, 2, 3, 7, 8}), fake_snapshot(5));  // splits after 3
+  cache.insert(seq({1, 2}), fake_snapshot(2));           // splits after 2
+
+  auto deep = cache.lookup(seq({1, 2, 3, 7, 9}));  // diverges inside {7, 8}
+  ASSERT_TRUE(deep.has_value());
+  EXPECT_EQ(deep->reused_tokens, 4);
+  auto on_path = cache.lookup(seq({1, 2, 6}));  // {1, 2} sits on the path
+  ASSERT_TRUE(on_path.has_value());
+  EXPECT_EQ(on_path->reused_tokens, 2);
+
+  // Only `a` stays in use; the other two expire and their nodes merge.
+  for (int i = 0; i < 4; ++i) {
+    auto hit = cache.lookup(a);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->exact);
+  }
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().expirations, 2u);
+  auto after = cache.lookup(seq({1, 2, 3, 7}));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->reused_tokens, 3);
+  auto prefix = cache.lookup(seq({1, 2}));  // ends inside the merged edge
+  ASSERT_TRUE(prefix.has_value());
+  EXPECT_EQ(prefix->reused_tokens, 1);
+  EXPECT_TRUE(cache.lookup(a)->exact);
+}
+
 TEST(PrefixCache, InsertOutcomes) {
   ws::PrefixCacheOptions options;
   options.byte_budget = 4096;

@@ -2,21 +2,15 @@
 //
 // Every test derives its schedule from WISDOM_CHAOS_SEED (default 101; CI
 // loops a fixed seed set in release and TSan builds), then randomizes the
-// workload shape and the fault schedule — arena size, in-flight caps,
-// prompt/budget mix, injected arena exhaustion, allocation failures,
-// scheduler stalls, generate failures, breaker poisoning — and checks the
-// invariants that must hold under ANY schedule:
+// workload shape and the fault schedule — queue capacity, shed policy,
+// prompt/budget mix, speculative draft depth, generate failures, breaker
+// poisoning, forced queue-full — and checks the invariants that must hold
+// under ANY schedule:
 //
 //   * the run terminates and yields exactly one terminal result per
-//     request (a response with ok=true or a typed error; at the scheduler
-//     level, a retired status per sequence),
-//   * the paged-KV arena is fully freed afterwards (no leaked blocks,
-//     preempted-and-resumed sequences included),
-//   * no sequence outlives the watchdog bound by more than the retiring
-//     iteration,
-//   * fault schedules that do not wedge the scheduler stay byte-identical
-//     to sequential generate() — preemption, requeue, monolithic fallback
-//     and finite stalls are placement decisions, never output decisions.
+//     request (a response with ok=true or a typed error),
+//   * speculative decoding stays byte-identical to sequential generate()
+//     and its token stream only ever carries verified tokens.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,26 +19,20 @@
 #include <vector>
 
 #include "model/config.hpp"
-#include "model/kv_block.hpp"
 #include "model/speculative.hpp"
 #include "model/transformer.hpp"
-#include "nn/ops.hpp"
 #include "serve/fault.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
 #include "text/bpe.hpp"
 #include "util/deadline.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
-namespace nn = wisdom::nn;
 namespace wm = wisdom::model;
 namespace ws = wisdom::serve;
 namespace wt = wisdom::text;
 using wisdom::util::Deadline;
 using wisdom::util::Rng;
-using wisdom::util::ThreadPool;
 
 namespace {
 
@@ -55,9 +43,7 @@ std::uint64_t chaos_seed() {
   return 101;
 }
 
-// Model builders and the ForceParallel guard are shared via
-// test_util.hpp with the scheduler and parity suites.
-using wisdom::testutil::ForceParallel;
+// Model builders are shared via test_util.hpp with the parity suites.
 using wisdom::testutil::random_prompt;
 using wisdom::testutil::tiny_config;
 
@@ -86,255 +72,7 @@ Reference run_reference(const wm::Transformer& model,
 
 }  // namespace
 
-// --- scheduler-level chaos -------------------------------------------------
-
-TEST(ChaosScheduler, SeededFaultSchedulesUpholdInvariants) {
-  const std::uint64_t seed = chaos_seed();
-  const wm::ModelConfig cfg = tiny_config();
-  const wm::Transformer model(cfg, 17);
-  for (std::uint64_t round = 0; round < 8; ++round) {
-    Rng rng(seed * 7919 + round);
-    wm::KvBlockAllocator arena(static_cast<int>(rng.uniform_int(6, 32)), 4,
-                               cfg.n_layer, cfg.d_model);
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 8));
-    ws::FaultInjector faults;
-    // ~1 round in 5 wedges the scheduler outright; the rest draw a random
-    // mix of identity-preserving faults.
-    const bool wedged = rng.chance(0.2);
-    if (wedged) {
-      faults.set_stall_steps(-1);
-    } else {
-      if (rng.chance(0.5))
-        faults.set_arena_exhaust_at_step(rng.uniform_int(0, 12));
-      if (rng.chance(0.4)) faults.set_fail_alloc(rng.uniform_int(1, 3));
-      if (rng.chance(0.4)) faults.set_stall_steps(rng.uniform_int(1, 5));
-    }
-    // Wedged rounds need a tight bound so the test stays fast; live rounds
-    // get one no healthy sequence can reach (byte-identity below would
-    // expose a spurious retirement anyway).
-    const int bound = wedged ? 12 : 2000;
-
-    std::vector<ws::SeqRequest> requests(n);
-    std::vector<Reference> expected;
-    std::vector<wm::Transformer::GenerateStatus> statuses(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ws::SeqRequest& req = requests[i];
-      req.prompt = random_prompt(rng, 1, 20, cfg.vocab);
-      req.max_new_tokens = static_cast<int>(rng.uniform_int(1, 10));
-      req.stop_token = rng.chance(0.3) ? 7 : -1;
-      req.arrival_step = static_cast<int>(rng.uniform_int(0, 12));
-      req.status = &statuses[i];
-      if (rng.chance(0.3)) {
-        req.temperature = 0.8f;
-        req.top_k = 5;
-        req.sample_seed = 1000 + i;
-      }
-      const std::int64_t budget =
-          rng.chance(0.3) ? rng.uniform_int(0, 30) : -1;
-      if (budget >= 0) req.deadline = Deadline::after_checks(budget);
-      expected.push_back(run_reference(model, req.prompt, req.max_new_tokens,
-                                       req.stop_token, req.temperature,
-                                       req.top_k, req.sample_seed, budget));
-    }
-    ws::SchedulerOptions options;
-    options.max_in_flight = static_cast<int>(rng.uniform_int(1, 4));
-    options.arena = &arena;
-    options.faults = &faults;
-    options.watchdog_iterations = bound;
-    options.max_preemptions_per_seq = static_cast<int>(rng.uniform_int(1, 3));
-    ws::ContinuousScheduler scheduler(model, options);
-
-    const auto outs = scheduler.run(requests);  // must terminate
-    ASSERT_EQ(outs.size(), n) << "round " << round << " seed " << seed;
-    const ws::SchedulerRunStats& stats = scheduler.last_run();
-    if (wedged) {
-      // Nothing ever decodes; the watchdog retires every admitted
-      // sequence as deadline-expired with an empty output.
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(outs[i].empty())
-            << "round " << round << " request " << i << " seed " << seed;
-        EXPECT_TRUE(statuses[i].deadline_expired)
-            << "round " << round << " request " << i << " seed " << seed;
-      }
-      EXPECT_EQ(stats.watchdog_retired, static_cast<int>(n))
-          << "round " << round << " seed " << seed;
-    } else {
-      // Every non-wedging fault is a placement decision: outputs, step
-      // counts and deadline outcomes are byte-identical to sequential
-      // generate().
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(outs[i], expected[i].tokens)
-            << "round " << round << " request " << i << " seed " << seed;
-        EXPECT_EQ(statuses[i].steps_taken, expected[i].status.steps_taken)
-            << "round " << round << " request " << i << " seed " << seed;
-        EXPECT_EQ(statuses[i].deadline_expired,
-                  expected[i].status.deadline_expired)
-            << "round " << round << " request " << i << " seed " << seed;
-      }
-      EXPECT_EQ(stats.watchdog_retired, 0)
-          << "round " << round << " seed " << seed;
-    }
-    // No sequence outlived its bound by more than the retiring iteration.
-    EXPECT_LE(stats.max_seq_age, bound + 1)
-        << "round " << round << " seed " << seed;
-    // Every block came back, preempted-and-resumed sequences included.
-    EXPECT_EQ(arena.free_blocks(), arena.capacity())
-        << "round " << round << " seed " << seed;
-  }
-}
-
-// --- cross-thread parity under preemption pressure -------------------------
-
-TEST(ChaosParity, FaultFreePreemptingRunsMatchSequentialAcrossThreads) {
-  const std::uint64_t seed = chaos_seed();
-  const wm::ModelConfig cfg = tiny_config();
-  const wm::Transformer model(cfg, 17);
-  ForceParallel force;
-
-  // Greedy and sampling sequences mixed; the arena is sized between one
-  // sequence's worst case (7 blocks) and the in-flight pair's (14), so
-  // admission passes and preemption must fire mid-flight.
-  Rng rng(seed * 104729);
-  std::vector<ws::SeqRequest> requests(4);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ws::SeqRequest& req = requests[i];
-    req.prompt = random_prompt(rng, 8, 8, cfg.vocab);
-    req.max_new_tokens = 20;
-    if (i % 2 == 1) {
-      req.temperature = 0.7f;
-      req.top_k = 6;
-      req.sample_seed = 500 + i;
-    }
-  }
-
-  std::vector<std::vector<std::vector<std::int32_t>>> per_thread_outs;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool::set_global_threads(threads);
-    std::vector<Reference> expected;
-    for (const auto& req : requests)
-      expected.push_back(run_reference(model, req.prompt, req.max_new_tokens,
-                                       -1, req.temperature, req.top_k,
-                                       req.sample_seed, -1));
-    wm::KvBlockAllocator arena(10, 4, cfg.n_layer, cfg.d_model);
-    ws::SchedulerOptions options;
-    options.max_in_flight = 2;
-    options.arena = &arena;
-    ws::ContinuousScheduler scheduler(model, options);
-    const auto outs = scheduler.run(requests);
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      EXPECT_EQ(outs[i], expected[i].tokens)
-          << "threads " << threads << " request " << i << " seed " << seed;
-    EXPECT_GT(scheduler.last_run().preemptions, 0) << "threads " << threads;
-    EXPECT_EQ(arena.free_blocks(), arena.capacity())
-        << "threads " << threads;
-    per_thread_outs.push_back(outs);
-  }
-  ThreadPool::set_global_threads(0);
-  // The kernels are bit-identical at any thread count, so the scheduler's
-  // outputs must agree across thread counts too.
-  ASSERT_EQ(per_thread_outs.size(), 2u);
-  EXPECT_EQ(per_thread_outs[0], per_thread_outs[1]);
-}
-
 // --- speculative-decoding chaos --------------------------------------------
-
-// Seeded fuzz over the speculative scheduler path: random draft depth k,
-// deliberately tiny KV and draft arenas (preemption and monolithic
-// fallback fire mid-verify), check-count deadlines that expire inside
-// verify rounds, and a greedy/sampled request mix (sampled sequences must
-// take the non-speculative path). Invariants, for every schedule:
-//
-//   * on_token never sees a non-verified token: the emitted stream equals
-//     the final output exactly (drafted-but-rejected tokens are invisible),
-//   * outputs, step counts and deadline outcomes stay byte-identical to
-//     sequential generate() — speculation is an execution strategy, never
-//     an output decision,
-//   * both arenas drain to empty afterwards: preempting a speculating
-//     sequence releases its draft blocks along with its KV tail.
-TEST(ChaosSpeculative, SeededSpeculativeSchedulesStayVerifiedAndLeakFree) {
-  const std::uint64_t seed = chaos_seed();
-  const wm::ModelConfig cfg = tiny_config();
-  const wm::ModelConfig draft_cfg = wisdom::testutil::tiny_draft_config();
-  const wm::Transformer model(cfg, 17);
-  const wm::Transformer draft(draft_cfg, 29);
-  std::int64_t total_proposed = 0;
-  for (std::uint64_t round = 0; round < 8; ++round) {
-    Rng rng(seed * 31337 + round);
-    wm::KvBlockAllocator arena(static_cast<int>(rng.uniform_int(6, 24)), 4,
-                               cfg.n_layer, cfg.d_model);
-    wm::KvBlockAllocator draft_arena(
-        static_cast<int>(rng.uniform_int(2, 12)), 4, draft_cfg.n_layer,
-        draft_cfg.d_model);
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(2, 6));
-    ws::FaultInjector faults;
-    if (rng.chance(0.4))
-      faults.set_arena_exhaust_at_step(rng.uniform_int(0, 12));
-    if (rng.chance(0.3)) faults.set_fail_alloc(rng.uniform_int(1, 3));
-    if (rng.chance(0.3)) faults.set_stall_steps(rng.uniform_int(1, 4));
-
-    std::vector<ws::SeqRequest> requests(n);
-    std::vector<Reference> expected;
-    std::vector<wm::Transformer::GenerateStatus> statuses(n);
-    std::vector<std::vector<std::int32_t>> emitted(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ws::SeqRequest& req = requests[i];
-      req.prompt = random_prompt(rng, 1, 20, cfg.vocab);
-      req.max_new_tokens = static_cast<int>(rng.uniform_int(1, 12));
-      req.stop_token = rng.chance(0.3) ? 7 : -1;
-      req.arrival_step = static_cast<int>(rng.uniform_int(0, 10));
-      req.status = &statuses[i];
-      // Request 0 stays greedy so every round provably speculates.
-      if (i > 0 && rng.chance(0.3)) {
-        req.temperature = 0.8f;
-        req.top_k = 5;
-        req.sample_seed = 1000 + i;
-      }
-      req.on_token = [&emitted, i](std::int32_t t) {
-        emitted[i].push_back(t);
-      };
-      const std::int64_t budget =
-          rng.chance(0.4) ? rng.uniform_int(0, 30) : -1;
-      if (budget >= 0) req.deadline = Deadline::after_checks(budget);
-      expected.push_back(run_reference(model, req.prompt, req.max_new_tokens,
-                                       req.stop_token, req.temperature,
-                                       req.top_k, req.sample_seed, budget));
-    }
-    ws::SchedulerOptions options;
-    options.max_in_flight = static_cast<int>(rng.uniform_int(1, 4));
-    options.arena = &arena;
-    options.draft = &draft;
-    options.speculative_k = static_cast<int>(rng.uniform_int(1, 6));
-    options.draft_arena = rng.chance(0.7) ? &draft_arena : nullptr;
-    options.faults = &faults;
-    options.max_preemptions_per_seq = static_cast<int>(rng.uniform_int(1, 3));
-    ws::ContinuousScheduler scheduler(model, options);
-
-    const auto outs = scheduler.run(requests);
-    ASSERT_EQ(outs.size(), n) << "round " << round << " seed " << seed;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(outs[i], expected[i].tokens)
-          << "round " << round << " request " << i << " seed " << seed;
-      EXPECT_EQ(emitted[i], outs[i])
-          << "round " << round << " request " << i << " seed " << seed
-          << ": on_token saw a token the verifier never committed";
-      EXPECT_EQ(statuses[i].steps_taken, expected[i].status.steps_taken)
-          << "round " << round << " request " << i << " seed " << seed;
-      EXPECT_EQ(statuses[i].deadline_expired,
-                expected[i].status.deadline_expired)
-          << "round " << round << " request " << i << " seed " << seed;
-    }
-    const ws::SchedulerRunStats& stats = scheduler.last_run();
-    total_proposed += stats.spec_proposed;
-    EXPECT_EQ(stats.spec_proposed, stats.spec_accepted + stats.spec_rejected)
-        << "round " << round << " seed " << seed;
-    // Leak checks: every main-arena AND draft-arena block came back.
-    EXPECT_EQ(arena.free_blocks(), arena.capacity())
-        << "round " << round << " seed " << seed;
-    EXPECT_EQ(draft_arena.free_blocks(), draft_arena.capacity())
-        << "round " << round << " seed " << seed << ": leaked draft blocks";
-  }
-  EXPECT_GT(total_proposed, 0) << "speculation never engaged; seed " << seed;
-}
 
 // Request-level speculative fuzz: generate_speculative() against
 // generate() under random k, random deadline budgets (expiry lands inside
@@ -429,7 +167,6 @@ TEST(ChaosService, OverloadStormYieldsOneTerminalResponsePerRequest) {
       if (rng.chance(0.5)) faults.set_fail_generate(rng.uniform_int(1, 4));
       if (rng.chance(0.4)) faults.set_poison_breaker(rng.uniform_int(1, 4));
       if (rng.chance(0.3)) faults.set_slow_decode_after_tokens(6);
-      if (rng.chance(0.2)) faults.set_arena_exhaust_at_step(2);
       faults.set_force_queue_full(rng.chance(0.2));
 
       std::vector<ws::SuggestionRequest> batch(

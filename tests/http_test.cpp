@@ -4,20 +4,25 @@
 // reproduce the single-shot snippet byte-for-byte, greedy and beam, at
 // compute-pool widths 1 and 4.
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
 #include "data/packing.hpp"
+#include "net/event_loop.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
 #include "serve/api.hpp"
@@ -318,7 +323,7 @@ class BlockingClient {
   std::string buf_;
 };
 
-// Undoes serve::json_escape for the SSE delta payloads.
+// Undoes util::json_escape for the SSE delta payloads.
 std::string json_unescape(std::string_view text) {
   std::string out;
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -399,6 +404,52 @@ struct Harness {
 
   BlockingClient client() { return BlockingClient(server.port()); }
 };
+
+// --- lifecycle --------------------------------------------------------------
+
+// A stop issued before the loop thread reaches run() must not be lost, or
+// HttpServer::stop() would join a loop that never exits. The posted
+// closure still runs (run() drains the final batch), and the stopped loop
+// can run again.
+TEST(EventLoop, StopBeforeRunReturns) {
+  net::EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  bool drained = false;
+  loop.post([&] { drained = true; });
+  loop.stop();
+  auto ran = std::async(std::launch::async, [&] { loop.run(); });
+  const bool returned =
+      ran.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!returned) loop.stop();  // unblock the hung loop so the test ends
+  ran.wait();
+  EXPECT_TRUE(returned) << "run() missed a stop() issued before it";
+  EXPECT_TRUE(drained);
+
+  // The next run() serves I/O until a handler stops it.
+  int fds[2];
+  ASSERT_EQ(::pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0);
+  bool handled = false;
+  loop.add(fds[0], EPOLLIN, [&](std::uint32_t) {
+    char byte = 0;
+    handled = ::read(fds[0], &byte, 1) == 1;
+    loop.stop();
+  });
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  loop.run();
+  EXPECT_TRUE(handled) << "a second run() returned without serving I/O";
+  loop.remove(fds[0]);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(HttpServer, StartThenImmediateStopNeverHangs) {
+  serve::InferenceService service(tiny().model, tiny().tokenizer);
+  net::HttpServer server(service);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(server.start()) << "iteration " << i;
+    server.stop();
+  }
+}
 
 TEST(HttpE2E, SingleShotMatchesInProcessSuggest) {
   Harness harness;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "model/checkpoint.hpp"
 #include "model/config.hpp"
 #include "model/transformer.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wm = wisdom::model;
 namespace nn = wisdom::nn;
@@ -183,6 +186,55 @@ TEST(Transformer, KvCacheMatchesBatchedForward) {
       EXPECT_FLOAT_EQ(inc_logits[static_cast<std::size_t>(j)],
                       inc2[static_cast<std::size_t>(j)]);
   }
+}
+
+TEST(DecodeStepBatch, MatchesSequentialAtAnyThreadCount) {
+  const wm::ModelConfig cfg = wisdom::testutil::tiny_config();
+  const wm::Transformer model(cfg, 13);
+  Rng rng(21);
+  // Four sequences at different positions; odd ones decode from a
+  // compacted clone, which the batched step must grow back to the window.
+  std::vector<std::vector<std::int32_t>> prefixes;
+  for (int s = 0; s < 4; ++s)
+    prefixes.push_back(wisdom::testutil::random_prompt(rng, 1 + 3 * s,
+                                                       1 + 3 * s, cfg.vocab));
+
+  for (int threads : {1, 4}) {
+    wisdom::testutil::ForceParallel force;
+    wisdom::util::ThreadPool::set_global_threads(threads);
+    std::vector<wm::Transformer::KvCache> batched, sequential;
+    for (int s = 0; s < 4; ++s) {
+      batched.push_back(model.make_cache());
+      sequential.push_back(model.make_cache());
+      for (std::int32_t t : prefixes[static_cast<std::size_t>(s)]) {
+        model.decode_step(batched.back(), t);
+        model.decode_step(sequential.back(), t);
+      }
+      if (s % 2 == 1) batched.back() = batched.back().clone();
+    }
+    for (int step = 0; step < 6; ++step) {
+      std::vector<wm::Transformer::KvCache*> caches;
+      std::vector<std::int32_t> tokens;
+      for (int s = 0; s < 4; ++s) {
+        caches.push_back(&batched[static_cast<std::size_t>(s)]);
+        tokens.push_back(static_cast<std::int32_t>((7 * step + s) %
+                                                   cfg.vocab));
+      }
+      model.decode_step_batch(caches, tokens);
+      for (int s = 0; s < 4; ++s) {
+        auto expected = model.decode_step(
+            sequential[static_cast<std::size_t>(s)],
+            tokens[static_cast<std::size_t>(s)]);
+        const auto& actual = batched[static_cast<std::size_t>(s)].logits;
+        ASSERT_EQ(actual.size(), expected.size());
+        // Bit-exact, not approximately equal.
+        EXPECT_EQ(0, std::memcmp(actual.data(), expected.data(),
+                                 expected.size() * sizeof(float)))
+            << "threads " << threads << " step " << step << " seq " << s;
+      }
+    }
+  }
+  wisdom::util::ThreadPool::set_global_threads(0);
 }
 
 TEST(Transformer, KvCacheConsistentWithTrainingPath) {

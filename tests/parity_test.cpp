@@ -15,7 +15,7 @@
 // interacts with the decode loop:
 //
 //   { greedy, beam-fallback, streaming, warm prefix-cache,
-//     continuous batching, deadline salvage }  x  WISDOM_THREADS {1, 4}
+//     batch, deadline salvage }  x  WISDOM_THREADS {1, 4}
 //
 // plus direct model-level checks of generate_speculative() against
 // generate() on trained and untrained model pairs.
@@ -339,12 +339,7 @@ constexpr ParityCase kMatrix[] = {
     {"warm_prefix_cache",
      [](ws::ServiceOptions& o) { o.prefix_cache_enabled = true; },
      run_warm_prefix},
-    {"continuous_batching",
-     [](ws::ServiceOptions& o) {
-       o.continuous_batching = true;
-       o.max_batch_sequences = 4;
-     },
-     run_batch},
+    {"batch", [](ws::ServiceOptions&) {}, run_batch},
     {"deadline_salvage", [](ws::ServiceOptions&) {}, run_deadline_salvage},
 };
 
@@ -368,7 +363,6 @@ TEST(SpeculativeParity, MatrixMatchesBaselineAcrossThreads) {
       ws::FaultInjector base_faults;
       ws::ServiceOptions base;
       base.max_new_tokens = 24;
-      base.continuous_batching = false;
       base.faults = &base_faults;
       parity_case.configure(base);
 
@@ -417,7 +411,6 @@ TEST(SpeculativeParity, CheckpointDraftMatchesBorrowedDraft) {
 
   ws::ServiceOptions borrowed;
   borrowed.max_new_tokens = 24;
-  borrowed.continuous_batching = false;
   borrowed.speculative_k = 3;
   borrowed.draft_model = &f.draft;
 
@@ -448,7 +441,6 @@ TEST(SpeculativeParity, IncompatibleDraftDisablesSpeculation) {
 
   ws::ServiceOptions options;
   options.max_new_tokens = 24;
-  options.continuous_batching = false;
   options.speculative_k = 3;
   options.draft_model = &bad_draft;
   ws::InferenceService service(f.model, f.tokenizer, options);
@@ -456,7 +448,6 @@ TEST(SpeculativeParity, IncompatibleDraftDisablesSpeculation) {
 
   ws::ServiceOptions off;
   off.max_new_tokens = 24;
-  off.continuous_batching = false;
   ws::InferenceService baseline(f.model, f.tokenizer, off);
   auto a = service.suggest(make_request("Install nginx"));
   auto b = baseline.suggest(make_request("Install nginx"));

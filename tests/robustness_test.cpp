@@ -735,37 +735,25 @@ TEST(Retry, DrainingRefusalIsTerminalNotRetried) {
 // ---------------------------------------------------------------------------
 // FaultInjector: overload-resilience knobs
 
-TEST(FaultInjector, ArenaExhaustionStepThreshold) {
-  ws::FaultInjector faults;
-  EXPECT_FALSE(faults.arena_exhausted_at(0));  // default injects nothing
-  faults.set_arena_exhaust_at_step(3);
-  EXPECT_FALSE(faults.arena_exhausted_at(0));
-  EXPECT_FALSE(faults.arena_exhausted_at(2));
-  EXPECT_TRUE(faults.arena_exhausted_at(3));   // boundary: step N included
-  EXPECT_TRUE(faults.arena_exhausted_at(100));
-  faults.reset();
-  EXPECT_FALSE(faults.arena_exhausted_at(100));
-}
-
-TEST(FaultInjector, AllocStallAndPoisonShareCreditSemantics) {
+TEST(FaultInjector, PoisonCreditsAndResetSemantics) {
   ws::FaultInjector faults;
   // Positive credits are consumed one per take.
-  faults.set_fail_alloc(2);
-  EXPECT_TRUE(faults.take_alloc_failure());
-  EXPECT_TRUE(faults.take_alloc_failure());
-  EXPECT_FALSE(faults.take_alloc_failure());
-  // Negative is infinite — nothing is consumed.
-  faults.set_stall_steps(-1);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(faults.take_stall_step());
-  faults.set_poison_breaker(1);
+  faults.set_poison_breaker(2);
+  EXPECT_TRUE(faults.take_breaker_poison());
   EXPECT_TRUE(faults.take_breaker_poison());
   EXPECT_FALSE(faults.take_breaker_poison());
+  // Negative is infinite — nothing is consumed.
+  faults.set_poison_breaker(-1);
+  for (int i = 0; i < 8; ++i) EXPECT_TRUE(faults.take_breaker_poison());
   // reset() restores every knob's inactive default.
-  faults.set_fail_alloc(-1);
+  faults.set_fail_generate(-1);
+  faults.set_slow_decode_after_tokens(3);
+  faults.set_force_queue_full(true);
   faults.reset();
-  EXPECT_FALSE(faults.take_alloc_failure());
-  EXPECT_FALSE(faults.take_stall_step());
   EXPECT_FALSE(faults.take_breaker_poison());
+  EXPECT_FALSE(faults.take_generate_failure());
+  EXPECT_FALSE(faults.slow_decode_active());
+  EXPECT_FALSE(faults.queue_full_forced());
 }
 
 // ---------------------------------------------------------------------------

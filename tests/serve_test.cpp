@@ -2,7 +2,9 @@
 
 #include "core/trainer.hpp"
 #include "data/packing.hpp"
+#include "serve/fault.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "text/bpe.hpp"
 
 namespace wc = wisdom::core;
@@ -237,5 +239,119 @@ TEST(LintPolicy, LintCounterFamiliesPreRegistered) {
         "wisdom_lint_rule_duplicate_key_total",
         "wisdom_lint_rule_old_style_args_total"}) {
     EXPECT_NE(exposition.find(family), std::string::npos) << family;
+  }
+}
+
+// --- batch serving ----------------------------------------------------------
+
+namespace {
+
+std::vector<ws::SuggestionRequest> batch_requests() {
+  std::vector<ws::SuggestionRequest> requests(7);
+  const char* prompts[] = {"Install nginx",  "Start redis",
+                           "Copy a file",    "Install nginx",
+                           "Enable service", "Install nginx",
+                           "Remove package"};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].prompt = prompts[i];
+    requests[i].indent = static_cast<int>(i % 3);
+  }
+  return requests;
+}
+
+void expect_same_payload(const ws::SuggestionResponse& a,
+                         const ws::SuggestionResponse& b, std::size_t i) {
+  EXPECT_EQ(a.snippet, b.snippet) << "request " << i;
+  EXPECT_EQ(a.ok, b.ok) << "request " << i;
+  EXPECT_EQ(a.schema_correct, b.schema_correct) << "request " << i;
+  EXPECT_EQ(a.generated_tokens, b.generated_tokens) << "request " << i;
+  EXPECT_EQ(a.degraded, b.degraded) << "request " << i;
+  EXPECT_EQ(a.error, b.error) << "request " << i;
+}
+
+// N sequential suggest() calls on a fresh service: the reference every
+// suggest_batch() response must match.
+std::vector<ws::SuggestionResponse> sequential_reference(
+    const wm::Transformer& model, const wt::BpeTokenizer& tokenizer,
+    const ws::ServiceOptions& options,
+    const std::vector<ws::SuggestionRequest>& requests) {
+  ws::InferenceService service(model, tokenizer, options);
+  std::vector<ws::SuggestionResponse> responses;
+  for (const auto& r : requests) responses.push_back(service.suggest(r));
+  return responses;
+}
+
+}  // namespace
+
+TEST(ServiceBatch, MatchesSequentialWithCachesOnAndOff) {
+  const wt::BpeTokenizer tokenizer = wisdom::testutil::serving_tokenizer();
+  const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
+  const auto requests = batch_requests();
+  for (bool caches_on : {false, true}) {
+    ws::ServiceOptions options;
+    options.prefix_cache_enabled = caches_on;
+    options.response_cache_enabled = caches_on;
+    const auto expected =
+        sequential_reference(model, tokenizer, options, requests);
+
+    ws::InferenceService batched(model, tokenizer, options);
+    const auto responses = batched.suggest_batch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      expect_same_payload(responses[i], expected[i], i);
+    const ws::ServiceStats stats = batched.stats_snapshot();
+    EXPECT_EQ(stats.requests, requests.size());
+    EXPECT_EQ(stats.latencies_ms.size(), requests.size());
+    EXPECT_GT(stats.total_wall_ms, 0.0);
+  }
+}
+
+TEST(ServiceBatch, FaultInjectionMatchesSequential) {
+  const wt::BpeTokenizer tokenizer = wisdom::testutil::serving_tokenizer();
+  const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
+  const auto requests = batch_requests();
+
+  // Generate failures: the batch fans out across the pool, so credits are
+  // consumed in completion order. Exactly n requests fail; every other one
+  // is byte-equal to fault-free sequential serving.
+  {
+    const auto clean = sequential_reference(model, tokenizer, {}, requests);
+    ws::FaultInjector faults;
+    ws::ServiceOptions options;
+    options.faults = &faults;
+    ws::InferenceService batched(model, tokenizer, options);
+    faults.set_fail_generate(2);
+    const auto responses = batched.suggest_batch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    int failed = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (responses[i].error == ws::ServiceError::GenerateFailed) {
+        ++failed;
+        EXPECT_TRUE(responses[i].degraded) << "request " << i;
+      } else {
+        expect_same_payload(responses[i], clean[i], i);
+      }
+    }
+    EXPECT_EQ(failed, 2);
+  }
+  // Slow decode: every request under a tight check-count budget.
+  {
+    ws::FaultInjector faults;
+    ws::ServiceOptions options;
+    options.faults = &faults;
+    faults.set_slow_decode_after_tokens(6);
+    const auto expected =
+        sequential_reference(model, tokenizer, options, requests);
+
+    ws::FaultInjector batch_faults;
+    ws::ServiceOptions batch_options = options;
+    batch_options.faults = &batch_faults;
+    ws::InferenceService batched(model, tokenizer, batch_options);
+    batch_faults.set_slow_decode_after_tokens(6);
+    const auto responses = batched.suggest_batch(requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expect_same_payload(responses[i], expected[i], i);
+      EXPECT_EQ(responses[i].error, ws::ServiceError::DeadlineExceeded);
+    }
   }
 }

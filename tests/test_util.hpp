@@ -1,7 +1,6 @@
 // Shared test fixtures: the tiny-model / tokenizer / checkpoint builders
-// that were copy-pasted across cache_test, scheduler_test, chaos_test and
-// http_test, extracted here so each suite (and the new speculative parity
-// and fuzz suites) constructs identical models from one definition.
+// used by the model, serve, cache, chaos, parity and http suites, so each
+// constructs identical models from one definition.
 //
 // Two model families live here:
 //  - tiny_config() / serving_model(): an UNtrained 2-layer model whose
@@ -29,8 +28,8 @@
 
 namespace wisdom::testutil {
 
-// The untrained micro-model config shared by scheduler/chaos-style
-// parity tests (96-token vocab, no tokenizer involved).
+// The untrained micro-model config shared by the chaos and parity-style
+// tests (96-token vocab, no tokenizer involved).
 inline model::ModelConfig tiny_config() {
   model::ModelConfig cfg;
   cfg.vocab = 96;

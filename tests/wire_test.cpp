@@ -2,6 +2,7 @@
 
 #include "serve/wire.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace ws = wisdom::serve;
 
@@ -34,11 +35,11 @@ TEST(Wire, ResponseRoundTrip) {
 }
 
 TEST(Wire, EscapingSpecialCharacters) {
-  EXPECT_EQ(ws::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(ws::json_escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(ws::json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(ws::json_escape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(ws::json_escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(wisdom::util::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(wisdom::util::json_escape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(wisdom::util::json_escape("tab\there"), "tab\\there");
+  EXPECT_EQ(wisdom::util::json_escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(wisdom::util::json_escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
 TEST(Wire, RoundTripWithControlCharacters) {
