@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/trainer.hpp"
-#include "data/packing.hpp"
 #include "model/config.hpp"
 #include "model/transformer.hpp"
 #include "obs/metrics.hpp"
@@ -370,158 +368,6 @@ void BM_PrefixCacheSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixCacheSweep)
     ->Arg(0)->Arg(50)->Arg(90)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Speculative decoding sweep: a small config from the same family drafts
-// k tokens per round and the served model verifies them in one fused
-// forward pass. Both models are trained on the same synthetic apt-task
-// corpus (once, cached across benchmark args), so the draft's greedy
-// continuations agree with the verifier's on most schema tokens and
-// verify rounds commit multi-token runs. Prompts are COLD — a fresh
-// unique task name every iteration, caches off — so wins come from the
-// speculative execution itself: fused (k+1)-row verify passes stream the
-// verifier's weights once per round instead of once per token, and
-// chunked prefill batches the prompt instead of feeding it token by
-// token. The speedup counter is the acceptance criterion, enforced by
-// check_bench_regression.py: >= 1.3x tokens/s over the non-speculative
-// baseline serving the identical workload.
-void BM_SpeculativeSweep(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const int threads = 4;
-  wisdom::util::ThreadPool::set_global_threads(threads);
-  static const text::BpeTokenizer* tokenizer = [] {
-    return new text::BpeTokenizer(text::BpeTokenizer::train(
-        "- name: Install nginx\n  ansible.builtin.apt:\n"
-        "    name: nginx\n    state: present\n",
-        300));
-  }();
-  // Verifier sized so its weights outgrow L2 (GEMV per decode step is
-  // bandwidth-bound; the fused verify pass streams them once per round);
-  // the draft is ~20x fewer FLOPs per token.
-  struct TrainedPair {
-    model::Transformer verifier;
-    model::Transformer draft;
-  };
-  static const TrainedPair* pair = [] {
-    model::ModelConfig cfg;
-    cfg.vocab = static_cast<std::int32_t>(tokenizer->vocab_size());
-    cfg.ctx = 96;
-    cfg.d_model = 128;
-    cfg.n_head = 4;
-    cfg.n_layer = 4;
-    cfg.d_ff = 512;
-    model::ModelConfig draft_cfg = cfg;
-    draft_cfg.d_model = 32;
-    draft_cfg.n_head = 2;
-    draft_cfg.n_layer = 1;
-    draft_cfg.d_ff = 128;
-    auto* p = new TrainedPair{model::Transformer(cfg, 11),
-                              model::Transformer(draft_cfg, 13)};
-    std::vector<std::string> texts;
-    const char* pkgs[] = {"nginx", "redis", "git", "curl", "vim",
-                          "htop", "jq", "wget"};
-    for (int rep = 0; rep < 8; ++rep) {
-      for (const char* pkg : pkgs) {
-        texts.push_back(std::string("- name: Install ") + pkg +
-                        "\n  ansible.builtin.apt:\n    name: " + pkg +
-                        "\n    state: present\n");
-      }
-    }
-    auto set = wisdom::data::pack_samples(*tokenizer, texts, 96);
-    wisdom::core::TrainConfig tc;
-    tc.epochs = 10;
-    tc.micro_batch = 4;
-    tc.grad_accum = 1;
-    tc.lr = 3e-3f;
-    wisdom::core::train_model(p->verifier, set, nullptr, tc);
-    wisdom::core::train_model(p->draft, set, nullptr, tc);
-    return p;
-  }();
-
-  serve::ServiceOptions spec_options;
-  spec_options.max_new_tokens = 24;
-  spec_options.speculative_k = k;
-  spec_options.draft_model = &pair->draft;
-  serve::InferenceService speculative(pair->verifier, *tokenizer,
-                                      spec_options);
-  serve::ServiceOptions baseline_options = spec_options;
-  baseline_options.speculative_k = 0;
-  baseline_options.draft_model = nullptr;
-  serve::InferenceService baseline(pair->verifier, *tokenizer,
-                                   baseline_options);
-
-  // Cold prompts: a never-repeated task name per request per iteration
-  // (so nothing is ever warm), over a shared two-stanza context that
-  // gives prefill real weight — the cold-prompt axis of the criterion.
-  const char* stanza =
-      "- name: Install nginx\n  ansible.builtin.apt:\n"
-      "    name: nginx\n    state: present\n";
-  constexpr int kBatch = 8;
-  std::uint64_t epoch = 0;
-  auto make_batch = [&](std::uint64_t e) {
-    std::vector<serve::SuggestionRequest> requests(kBatch);
-    for (int i = 0; i < kBatch; ++i) {
-      auto& r = requests[static_cast<std::size_t>(i)];
-      r.context = std::string(stanza) + stanza;
-      r.prompt = "Install v" + std::to_string(e) + "r" + std::to_string(i);
-    }
-    return requests;
-  };
-
-  std::int64_t spec_tokens = 0;
-  std::int64_t baseline_tokens = 0;
-  double spec_seconds = 0.0;
-  double baseline_seconds = 0.0;
-  for (auto _ : state) {
-    auto requests = make_batch(epoch++);
-    auto t0 = std::chrono::steady_clock::now();
-    auto responses = speculative.suggest_batch(requests);
-    spec_seconds += std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    benchmark::DoNotOptimize(responses.data());
-    for (const auto& response : responses)
-      spec_tokens += response.generated_tokens;
-
-    // Non-speculative baseline over the same requests, outside the timed
-    // region so the reported ms stay the speculative path's.
-    state.PauseTiming();
-    t0 = std::chrono::steady_clock::now();
-    auto plain = baseline.suggest_batch(requests);
-    baseline_seconds += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    benchmark::DoNotOptimize(plain.data());
-    for (const auto& response : plain)
-      baseline_tokens += response.generated_tokens;
-    state.ResumeTiming();
-  }
-
-  const double spec_rate =
-      spec_seconds > 0.0 ? static_cast<double>(spec_tokens) / spec_seconds
-                         : 0.0;
-  const double baseline_rate =
-      baseline_seconds > 0.0
-          ? static_cast<double>(baseline_tokens) / baseline_seconds
-          : 0.0;
-  const auto counter_value = [&](const char* name) {
-    const auto* counter = speculative.metrics().find_counter(name);
-    return counter != nullptr ? static_cast<double>(counter->value()) : 0.0;
-  };
-  const double proposed = counter_value("wisdom_spec_proposed_total");
-  state.counters["tokens/s"] = spec_rate;
-  state.counters["baseline_tok/s"] = baseline_rate;
-  state.counters["speedup"] =
-      baseline_rate > 0.0 ? spec_rate / baseline_rate : 0.0;
-  state.counters["acceptance"] =
-      proposed > 0.0 ? counter_value("wisdom_spec_accepted_total") / proposed
-                     : 0.0;
-  state.SetLabel("k" + std::to_string(k) + "/t" + std::to_string(threads));
-  g_last_service_exposition = speculative.metrics().expose_prometheus();
-}
-BENCHMARK(BM_SpeculativeSweep)
-    ->Arg(2)->Arg(4)->Arg(6)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -16,11 +16,6 @@ throughput holds. Benchmarks present only in the current run are reported
 but never fail the check (new benchmarks seed on the next baseline
 refresh).
 
-Benchmarks listed in MIN_COUNTERS additionally carry absolute floors on
-acceptance-criterion counters (e.g. the speculative sweep's speedup vs the
-non-speculative baseline must stay >= 1.3x): whenever the current run
-reports such a counter it must meet the floor, baseline or not.
-
 With --seed-if-missing, a missing baseline file is created from the current
 run and the check passes — this is how CI bootstraps the very first
 baseline without a manual commit.
@@ -64,37 +59,12 @@ def load_rates(path):
 # absolute-increase bound rather than a relative drop.
 QUALITY_FIELDS = ("shed_rate", "degraded_rate")
 
-# Absolute acceptance floors, keyed by benchmark-name prefix: whenever the
-# current run reports the counter, its best-of-reps value must meet the
-# floor — these encode a feature's acceptance criterion (the speculative
-# sweep must beat non-speculative serving by >= 1.3x on cold prompts), so
-# they gate against the current run alone, independent of any baseline.
-# Runs that never execute the benchmark (older baselines, partial filters)
-# are unaffected, matching the new-benchmark seeding policy.
-MIN_COUNTERS = {
-    "BM_SpeculativeSweep": {"speedup": 1.30},
-}
-
 
 def load_num_cpus(path):
     """The run's context.num_cpus, or None when the file does not say."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     return doc.get("context", {}).get("num_cpus")
-
-
-def load_field(path, field):
-    """Map benchmark name -> best (max) value of `field` across reps."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    samples = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        value = bench.get(field)
-        if isinstance(value, (int, float)):
-            samples.setdefault(bench["name"], []).append(float(value))
-    return {name: max(values) for name, values in samples.items()}
 
 
 def load_quality(path):
@@ -211,21 +181,6 @@ def main():
                 failures.append(f"{name}: {field} rose {rise:.3f} over "
                                 f"baseline (limit "
                                 f"{args.quality_tolerance:.2f})")
-
-    # Absolute floors: acceptance-criterion counters gated on the current
-    # run whenever the benchmark reporting them actually ran.
-    for prefix, floors in sorted(MIN_COUNTERS.items()):
-        for field, floor in sorted(floors.items()):
-            values = load_field(args.current, field)
-            for name, value in sorted(values.items()):
-                if not name.startswith(prefix):
-                    continue
-                verdict = "FAIL" if value < floor else "ok"
-                print(f"[{verdict}] {name}: {field}={value:.3f} "
-                      f"(floor {floor:.2f})")
-                if value < floor:
-                    failures.append(f"{name}: {field}={value:.3f} below "
-                                    f"floor {floor:.2f}")
 
     if failures:
         print("\nbenchmark regression detected:")

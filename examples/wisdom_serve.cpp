@@ -100,7 +100,7 @@ int usage(const char* argv0) {
       "  --tiny                  train the seconds-to-start micro model\n"
       "  --admin-any-peer        allow /v1/admin/drain from any peer\n"
       "service options:\n"
-      "  --max-new-tokens N      decode budget per request (default 56)\n"
+      "  --max-new-tokens N      decode budget per request, >= 1 (default 56)\n"
       "  --beam-width N          >1 decodes with beam search (default 1)\n"
       "  --beam-length-penalty P beam length normalization (default 0.6)\n"
       "  --deadline-ms MS        per-request decode deadline (default off)\n"
@@ -146,9 +146,10 @@ int main(int argc, char** argv) {
     else if (arg == "--tiny") tiny = true;
     else if (arg == "--admin-any-peer")
       server_options.admin_loopback_only = false;
-    else if (arg == "--max-new-tokens")
+    else if (arg == "--max-new-tokens") {
       service_options.max_new_tokens = std::atoi(next_value(i));
-    else if (arg == "--beam-width")
+      if (service_options.max_new_tokens < 1) return usage(argv[0]);
+    } else if (arg == "--beam-width")
       service_options.beam_width = std::atoi(next_value(i));
     else if (arg == "--beam-length-penalty")
       service_options.beam_length_penalty =

@@ -8,9 +8,7 @@
 # BENCH_PR6.json, and fail if tokens/s drops more than 10% against the
 # committed baseline in bench/bench_baseline.json — or if the overload
 # sweep's shed/degraded rates rise past the absolute tolerance. This is
-# what the CI bench-regression job runs. The speculative sweep is also
-# gated on an absolute floor: >= 1.3x tokens/s over non-speculative
-# serving (MIN_COUNTERS in check_bench_regression.py).
+# what the CI bench-regression job runs.
 set -e
 cd "$(dirname "$0")"
 
@@ -18,7 +16,7 @@ if [ "$1" = "--regression" ]; then
   OUT="${BENCH_OUT:-BENCH_PR6.json}"
   BASELINE="${BENCH_BASELINE:-bench/bench_baseline.json}"
   WISDOM_THREADS=4 build/bench/bench_throughput \
-    --benchmark_filter='BM_BatchedSuggest|BM_OverloadSweep|BM_SpeculativeSweep' \
+    --benchmark_filter='BM_BatchedSuggest|BM_OverloadSweep' \
     --benchmark_repetitions=3 --benchmark_min_time=1 \
     --benchmark_format=json --benchmark_out="$OUT" \
     --benchmark_out_format=json >/dev/null

@@ -471,14 +471,6 @@ Transformer::KvCache Transformer::KvCache::clone(int new_length) const {
   return out;
 }
 
-void Transformer::KvCache::truncate(int new_length) {
-  if (new_length >= length) return;
-  length = std::max(0, new_length);
-  // The logits belong to the position that no longer is the last one.
-  logits.clear();
-  logits.shrink_to_fit();
-}
-
 std::size_t Transformer::KvCache::byte_size() const {
   std::size_t bytes = logits.capacity() * sizeof(float);
   for (const Vec& k : keys) bytes += k.capacity() * sizeof(float);
@@ -527,16 +519,8 @@ void Transformer::decode_step_batch(
     std::span<KvCache* const> caches,
     std::span<const std::int32_t> tokens) const {
   assert(tokens.size() == caches.size());
-  const std::size_t n = caches.size();
+  const int n = static_cast<int>(caches.size());
   if (n == 0) return;
-  std::vector<SpanFeed> feeds(n);
-  for (std::size_t s = 0; s < n; ++s)
-    feeds[s] = SpanFeed{caches[s], tokens.subspan(s, 1)};
-  verify_step_batch(feeds);
-}
-
-void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
-                                    std::vector<float>* row_logits) const {
   const int d = config_.d_model;
   const int h = config_.n_head;
   const int hd = config_.head_dim();
@@ -545,53 +529,32 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
   const int v = config_.vocab;
   const float att_scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
-  // Flatten the feeds into rows: row r appends token row_token[r] to
-  // feeds[row_feed[r]].cache at position row_pos[r]. Runs keep their feed
-  // order, so row-major row_logits line up with the drafted chains.
-  std::vector<int> row_feed, row_pos;
-  std::vector<std::int32_t> row_token;
-  for (std::size_t s = 0; s < feeds.size(); ++s) {
-    KvCache& cache = *feeds[s].cache;
-    assert(cache.length + static_cast<int>(feeds[s].tokens.size()) <=
-           config_.ctx);
-    if (!feeds[s].tokens.empty()) prepare_append(cache, config_.ctx);
-    for (std::size_t j = 0; j < feeds[s].tokens.size(); ++j) {
-      const int p = cache.length + static_cast<int>(j);
-      assert(feeds[s].tokens[j] >= 0 && feeds[s].tokens[j] < config_.vocab);
-      row_feed.push_back(static_cast<int>(s));
-      row_pos.push_back(p);
-      row_token.push_back(feeds[s].tokens[j]);
-    }
-  }
-  const int n = static_cast<int>(row_token.size());
-  if (n == 0) return;
-
+  // Row r appends tokens[r] to *caches[r] at position caches[r]->length.
   const std::size_t nd = static_cast<std::size_t>(n) * d;
   Vec x(nd);
-  for (int r = 0; r < n; ++r)
-    std::memcpy(x.data() + static_cast<std::size_t>(r) * d,
-                wte_.w.data() +
-                    static_cast<std::size_t>(
-                        row_token[static_cast<std::size_t>(r)]) *
-                        d,
-                d * sizeof(float));
-  Vec a1(nd), qkv(static_cast<std::size_t>(n) * 3 * d), mix(nd), tmp(nd),
-      a2(nd), fc(static_cast<std::size_t>(n) * ff), mean(n), rstd(n);
-
   // Attention work this step: q·K^T plus probs·V per (row, head).
   std::size_t att_madds = 0;
-  for (int r = 0; r < n; ++r)
-    att_madds +=
-        2ull * static_cast<std::size_t>(h) *
-        static_cast<std::size_t>(row_pos[static_cast<std::size_t>(r)] + 1) *
-        static_cast<std::size_t>(hd);
+  for (int r = 0; r < n; ++r) {
+    KvCache& cache = *caches[static_cast<std::size_t>(r)];
+    const std::int32_t token = tokens[static_cast<std::size_t>(r)];
+    assert(cache.length < config_.ctx);
+    assert(token >= 0 && token < v);
+    prepare_append(cache, config_.ctx);
+    std::memcpy(x.data() + static_cast<std::size_t>(r) * d,
+                wte_.w.data() + static_cast<std::size_t>(token) * d,
+                d * sizeof(float));
+    att_madds += 2ull * static_cast<std::size_t>(h) *
+                 static_cast<std::size_t>(cache.length + 1) *
+                 static_cast<std::size_t>(hd);
+  }
+  Vec a1(nd), qkv(static_cast<std::size_t>(n) * 3 * d), mix(nd), tmp(nd),
+      a2(nd), fc(static_cast<std::size_t>(n) * ff), mean(n), rstd(n);
 
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& L = layers_[li];
     // Batched rows: every kernel below computes each row exactly as the
-    // single-row step would (row-independent kernels), and a row's causal
-    // attention reads exactly the K/V rows a sequential feed of its run
-    // would have written, in the same order — so the fused pass is
+    // single-row step would (row-independent kernels), and a row's
+    // attention reads only its own cache — so the fused pass is
     // bit-identical to sequential decode_steps.
     nn::layernorm(x.data(), L.ln1_g.w.data(), L.ln1_b.w.data(), a1.data(),
                   mean.data(), rstd.data(), n, d);
@@ -599,10 +562,8 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
     nn::add_bias(qkv.data(), L.bqkv.w.data(), qkv.data(), n, 3 * d);
     for (int r = 0; r < n; ++r) {
       float* row = qkv.data() + static_cast<std::size_t>(r) * 3 * d;
-      const int p = row_pos[static_cast<std::size_t>(r)];
-      KvCache& cache = *feeds[static_cast<std::size_t>(
-                                  row_feed[static_cast<std::size_t>(r)])]
-                            .cache;
+      KvCache& cache = *caches[static_cast<std::size_t>(r)];
+      const int p = cache.length;
       // Rotate q and k at this row's position.
       for (int head = 0; head < h; ++head) {
         nn::rotary(row + head * hd, 1, hd, rot, p);
@@ -614,24 +575,18 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
       std::memcpy(cache.values[li].data() + at, row + 2 * d,
                   d * sizeof(float));
     }
-    // All of this layer's rows are appended; each attention row below caps
-    // its walk at its own causal horizon (earlier rows of the same run
-    // included, later ones not).
 
     for_each_head(n, h, att_madds, [&](int s0, int s1) {
       Vec att(static_cast<std::size_t>(config_.ctx));
       for (int slot = s0; slot < s1; ++slot) {
         const int r = slot / h;
         const int head = slot % h;
-        const KvCache& cache =
-            *feeds[static_cast<std::size_t>(
-                       row_feed[static_cast<std::size_t>(r)])]
-                 .cache;
+        const KvCache& cache = *caches[static_cast<std::size_t>(r)];
         const float* keys = cache.keys[li].data() + head * hd;
         const float* values = cache.values[li].data() + head * hd;
         const float* q =
             qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
-        const int count = row_pos[static_cast<std::size_t>(r)] + 1;
+        const int count = cache.length + 1;
         for (int j = 0; j < count; ++j) {
           const float* krow = keys + static_cast<std::size_t>(j) * d;
           float acc = 0.0f;
@@ -666,20 +621,12 @@ void Transformer::verify_step_batch(std::span<const SpanFeed> feeds,
                 mean.data(), rstd.data(), n, d);
   Vec logits_all(static_cast<std::size_t>(n) * v);
   nn::matmul(a1.data(), head_.w.data(), logits_all.data(), n, d, v);
-  if (row_logits)
-    row_logits->assign(logits_all.begin(), logits_all.end());
   for (int r = 0; r < n; ++r) {
-    const std::size_t s =
-        static_cast<std::size_t>(row_feed[static_cast<std::size_t>(r)]);
-    KvCache& cache = *feeds[s].cache;
-    // The run's last row becomes the cache's next-token logits.
-    if (static_cast<std::size_t>(r + 1) == row_token.size() ||
-        static_cast<std::size_t>(
-            row_feed[static_cast<std::size_t>(r + 1)]) != s)
-      cache.logits.assign(
-          logits_all.begin() + static_cast<std::ptrdiff_t>(r) * v,
-          logits_all.begin() + static_cast<std::ptrdiff_t>(r + 1) * v);
-    cache.length = row_pos[static_cast<std::size_t>(r)] + 1;
+    KvCache& cache = *caches[static_cast<std::size_t>(r)];
+    cache.logits.assign(
+        logits_all.begin() + static_cast<std::ptrdiff_t>(r) * v,
+        logits_all.begin() + static_cast<std::ptrdiff_t>(r + 1) * v);
+    ++cache.length;
   }
 }
 
@@ -687,61 +634,44 @@ std::span<const std::int32_t> Transformer::kept_prompt(
     std::span<const std::int32_t> prompt, int max_new_tokens) const {
   // Left-truncate the prompt so prompt + generation fits the window, but
   // never reserve more than half the window for generation — a prompt
-  // crushed to a few tokens would leave nothing to condition on.
-  const int reserve = std::min(max_new_tokens, config_.ctx / 2);
+  // crushed to a few tokens would leave nothing to condition on. A
+  // non-positive budget reserves nothing, so the kept span never outgrows
+  // the window.
+  const int reserve = std::clamp(max_new_tokens, 0, config_.ctx / 2);
   const int budget = std::max(1, config_.ctx - reserve);
   if (static_cast<int>(prompt.size()) > budget)
     return prompt.subspan(prompt.size() - static_cast<std::size_t>(budget));
   return prompt;
 }
 
-std::vector<std::int32_t> Transformer::generate(
-    std::span<const std::int32_t> prompt,
-    const GenerateOptions& options) const {
-  std::span<const std::int32_t> kept =
-      kept_prompt(prompt, options.max_new_tokens);
-
-  GenerateStatus local_status;
-  GenerateStatus& status = options.status ? *options.status : local_status;
+bool Transformer::prefill(std::span<const std::int32_t> kept, KvCache& cache,
+                          const util::Deadline& deadline,
+                          GenerateStatus& status, obs::TraceContext& trace,
+                          KvCache* prompt_snapshot) const {
   status = GenerateStatus{};
-
-  obs::TraceContext inert_trace;
-  obs::TraceContext& trace =
-      options.trace ? *options.trace : inert_trace;
   const bool observe = obs::enabled();
   if (observe) decode_metrics().generate_calls->inc();
 
-  // Warm start: the caller's cache already holds a prefix of the kept
-  // prompt, so prefill resumes after it. The cached rows are exactly the
-  // rows a cold prefill would write (decode_step is deterministic in the
-  // token sequence), so warm and cold generation are bit-identical.
-  KvCache local_cache;
-  KvCache* cache_ptr = options.warm_cache;
-  if (cache_ptr) {
-    assert(cache_ptr->length <= static_cast<int>(kept.size()));
-    assert(cache_ptr->length < static_cast<int>(kept.size()) ||
-           !cache_ptr->logits.empty());
-  } else {
-    local_cache = make_cache();
-    cache_ptr = &local_cache;
-  }
-  KvCache& cache = *cache_ptr;
+  // Warm start: the cache already holds a prefix of the kept prompt (plus
+  // the last token's logits when it covers all of it), so prefill resumes
+  // after it. The cached rows are exactly the rows a cold prefill would
+  // write (decode_step is deterministic in the token sequence), so warm
+  // and cold decoding are bit-identical.
+  assert(cache.length <= static_cast<int>(kept.size()));
+  assert(cache.length == 0 || cache.length < static_cast<int>(kept.size()) ||
+         !cache.logits.empty());
   const std::size_t skip = static_cast<std::size_t>(cache.length);
   status.prefill_tokens_reused = cache.length;
-
-  std::span<const float> logits;
-  if (skip == kept.size() && skip > 0) logits = cache.logits;
-  std::vector<std::int32_t> out;
   {
     auto prefill_span = trace.span("prefill");
     auto prefill_start = observe ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
     for (std::size_t i = skip; i < kept.size(); ++i) {
-      if (options.deadline.expired()) {
+      if (deadline.expired()) {
         status.deadline_expired = true;
-        return out;  // nothing decoded yet: empty partial result
+        return false;
       }
-      logits = decode_step(cache, kept[i]);
+      decode_step(cache, kept[i]);
       ++status.steps_taken;
     }
     if (observe) {
@@ -750,9 +680,31 @@ std::vector<std::int32_t> Transformer::generate(
           static_cast<std::uint64_t>(status.steps_taken));
     }
   }
-  if (kept.empty()) return out;
-  if (options.prompt_snapshot)
-    *options.prompt_snapshot = cache.clone(static_cast<int>(kept.size()));
+  if (kept.empty()) return false;
+  if (prompt_snapshot)
+    *prompt_snapshot = cache.clone(static_cast<int>(kept.size()));
+  return true;
+}
+
+std::vector<std::int32_t> Transformer::generate(
+    std::span<const std::int32_t> prompt,
+    const GenerateOptions& options) const {
+  GenerateStatus local_status;
+  GenerateStatus& status = options.status ? *options.status : local_status;
+  obs::TraceContext inert_trace;
+  obs::TraceContext& trace = options.trace ? *options.trace : inert_trace;
+
+  // Decoding runs in the caller's warm cache, mutated in place, or in a
+  // fresh one.
+  KvCache local_cache;
+  if (!options.warm_cache) local_cache = make_cache();
+  KvCache& cache = options.warm_cache ? *options.warm_cache : local_cache;
+  std::vector<std::int32_t> out;
+  if (!prefill(kept_prompt(prompt, options.max_new_tokens), cache,
+               options.deadline, status, trace, options.prompt_snapshot))
+    return out;  // nothing decoded: empty (partial) result
+
+  const bool observe = obs::enabled();
   util::Rng rng(options.sample_seed);
   for (int i = 0; i < options.max_new_tokens && cache.length < config_.ctx;
        ++i) {
@@ -761,22 +713,20 @@ std::vector<std::int32_t> Transformer::generate(
       break;
     }
     auto decode_span = trace.span("decode");
-    std::int32_t next =
-        options.temperature > 0.0f
-            ? sample_token(logits, options.temperature, options.top_k, rng)
-            : argmax_token(logits);
+    std::int32_t next = options.temperature > 0.0f
+                            ? sample_token(cache.logits, options.temperature,
+                                           options.top_k, rng)
+                            : argmax_token(cache.logits);
     if (next == options.stop_token) break;
     out.push_back(next);
     if (options.on_token) options.on_token(next);
-    if (cache.length < config_.ctx) {
-      auto token_start = observe ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-      logits = decode_step(cache, next);
-      ++status.steps_taken;
-      if (observe) {
-        decode_metrics().token_ms->observe(elapsed_ms_since(token_start));
-        decode_metrics().decoded_tokens->inc();
-      }
+    auto token_start = observe ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{};
+    decode_step(cache, next);
+    ++status.steps_taken;
+    if (observe) {
+      decode_metrics().token_ms->observe(elapsed_ms_since(token_start));
+      decode_metrics().decoded_tokens->inc();
     }
   }
   return out;
@@ -801,9 +751,6 @@ void log_softmax(std::span<const float> logits, std::vector<float>& out) {
 std::vector<std::int32_t> Transformer::generate_beam(
     std::span<const std::int32_t> prompt, const BeamOptions& options) const {
   const int width = std::max(1, options.beam_width);
-  std::span<const std::int32_t> kept =
-      kept_prompt(prompt, options.max_new_tokens);
-  if (kept.empty()) return {};
 
   struct Beam {
     KvCache cache;
@@ -819,51 +766,17 @@ std::vector<std::int32_t> Transformer::generate_beam(
 
   GenerateStatus local_status;
   GenerateStatus& status = options.status ? *options.status : local_status;
-  status = GenerateStatus{};
-
   obs::TraceContext inert_trace;
-  obs::TraceContext& trace =
-      options.trace ? *options.trace : inert_trace;
-  const bool observe = obs::enabled();
-  if (observe) decode_metrics().generate_calls->inc();
+  obs::TraceContext& trace = options.trace ? *options.trace : inert_trace;
 
   // Seed beam: the prompt fed once, resuming past any warm-cached prefix
-  // (same contract as GenerateOptions::warm_cache; the warm cache is
-  // cloned so the caller's copy stays usable).
+  // (cloned, so the caller's copy stays usable).
   Beam seed;
-  if (options.warm_cache) {
-    assert(options.warm_cache->length <= static_cast<int>(kept.size()));
-    assert(options.warm_cache->length < static_cast<int>(kept.size()) ||
-           !options.warm_cache->logits.empty());
-    seed.cache = options.warm_cache->clone();
-  } else {
-    seed.cache = make_cache();
-  }
-  const std::size_t skip = static_cast<std::size_t>(seed.cache.length);
-  status.prefill_tokens_reused = seed.cache.length;
-  std::span<const float> logits;
-  if (skip == kept.size() && skip > 0) logits = seed.cache.logits;
-  {
-    auto prefill_span = trace.span("prefill");
-    auto prefill_start = observe ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-    for (std::size_t i = skip; i < kept.size(); ++i) {
-      if (options.deadline.expired()) {
-        status.deadline_expired = true;
-        return {};  // prefill never finished: no hypothesis exists yet
-      }
-      logits = decode_step(seed.cache, kept[i]);
-      ++status.steps_taken;
-    }
-    if (observe) {
-      decode_metrics().prefill_ms->observe(elapsed_ms_since(prefill_start));
-      decode_metrics().decoded_tokens->inc(
-          static_cast<std::uint64_t>(status.steps_taken));
-    }
-  }
-  if (options.prompt_snapshot)
-    *options.prompt_snapshot = seed.cache.clone(static_cast<int>(kept.size()));
-  log_softmax(logits, seed.logprobs);
+  seed.cache = options.warm_cache ? options.warm_cache->clone() : make_cache();
+  if (!prefill(kept_prompt(prompt, options.max_new_tokens), seed.cache,
+               options.deadline, status, trace, options.prompt_snapshot))
+    return {};  // prefill never finished: no hypothesis exists yet
+  log_softmax(seed.cache.logits, seed.logprobs);
 
   std::vector<Beam> beams;
   beams.push_back(std::move(seed));

@@ -73,9 +73,6 @@ class Transformer {
     // prefix cache stores. The logits survive only a full-length clone
     // (they describe the last decoded position).
     KvCache clone(int new_length = -1) const;
-    // Forgets every token past `new_length` and drops the logits (they
-    // belong to the old last position). No-op when already shorter.
-    void truncate(int new_length);
     // Heap bytes held: keys, values and logits.
     std::size_t byte_size() const;
   };
@@ -93,28 +90,6 @@ class Transformer {
   void decode_step_batch(std::span<KvCache* const> caches,
                          std::span<const std::int32_t> tokens) const;
 
-  // A run of tokens to append to one cache in a fused multi-position pass.
-  struct SpanFeed {
-    KvCache* cache = nullptr;
-    std::span<const std::int32_t> tokens;
-  };
-  // The speculative-verify forward: appends feeds[i].tokens (in order) to
-  // feeds[i].cache for every feed in ONE fused pass, computing logits at
-  // every fed position. Causal attention within a run reads the K/V rows
-  // the same pass just appended, in logical row order, so each position's
-  // logits are bit-identical to feeding its run through sequential
-  // decode_step calls — at any WISDOM_THREADS. decode_step_batch is the
-  // all-runs-length-1 special case and delegates here.
-  //
-  // When `row_logits` is non-null it receives the per-position logits,
-  // row-major over the flattened feed order (sum of run lengths x vocab) —
-  // what a verifier needs to check a drafted chain token by token. Each
-  // cache's own `logits` member ends up holding its run's last row.
-  // Caches must be distinct; each run must fit (length + run size <= ctx)
-  // and may be empty (contributing no rows).
-  void verify_step_batch(std::span<const SpanFeed> feeds,
-                         std::vector<float>* row_logits = nullptr) const;
-
   // Filled by generate()/generate_beam() when a caller passes a status
   // pointer: whether decoding ran to completion or was cut short by its
   // deadline (the returned tokens are then the partial result).
@@ -130,8 +105,9 @@ class Transformer {
 
   // The prompt suffix generate()/generate_beam() would actually feed the
   // model: left-truncated so prompt + generation fits the context window,
-  // reserving at most half the window for generation. Callers that key a
-  // prefix cache must key on exactly this span.
+  // reserving at most half the window for generation (none for a
+  // non-positive budget), so the span never exceeds the window. Callers
+  // that key a prefix cache must key on exactly this span.
   std::span<const std::int32_t> kept_prompt(
       std::span<const std::int32_t> prompt, int max_new_tokens) const;
 
@@ -238,6 +214,18 @@ class Transformer {
 
   float run(std::span<const std::int32_t> x, std::span<const std::int32_t> y,
             int batch, int t, bool backward);
+
+  // The setup and prefill generate() and generate_beam() share: resets
+  // `status`, counts the call in the wisdom_model_* families, then feeds
+  // the kept prompt past the cache's warm prefix one decode_step per
+  // token, each behind one deadline check, under a "prefill" span. On
+  // success cache.logits holds the next-token logits and `prompt_snapshot`
+  // (when non-null) a compacted clone of the prefilled prompt. Returns
+  // false when there is nothing to decode from: an empty kept prompt, or
+  // a deadline that expired during prefill (status says so).
+  bool prefill(std::span<const std::int32_t> kept, KvCache& cache,
+               const util::Deadline& deadline, GenerateStatus& status,
+               obs::TraceContext& trace, KvCache* prompt_snapshot) const;
 
   ModelConfig config_;
   nn::Param wte_;

@@ -7,7 +7,6 @@
 
 #include "analysis/rules.hpp"
 #include "core/postprocess.hpp"
-#include "model/checkpoint.hpp"
 #include "metrics/schema_correct.hpp"
 #include "obs/obs.hpp"
 #include "util/strings.hpp"
@@ -155,33 +154,6 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.stage_cache = &registry_.histogram(
       "wisdom_serve_stage_cache_ms", {},
       "Cache stage time (memo + prefix lookups, snapshot inserts).");
-  h_.stage_draft = &registry_.histogram(
-      "wisdom_serve_stage_draft_ms", {},
-      "Speculative draft stage time (catch-up + guess decode).");
-  h_.stage_verify = &registry_.histogram(
-      "wisdom_serve_stage_verify_ms", {},
-      "Speculative verify stage time (fused forward + accept/commit).");
-  // wisdom_spec_* families: registered even with speculation off, so the
-  // exposition (and the CI smoke grep) always sees them.
-  h_.spec_proposed = &registry_.counter(
-      "wisdom_spec_proposed_total", "Draft tokens fed to the verifier.");
-  h_.spec_accepted = &registry_.counter(
-      "wisdom_spec_accepted_total",
-      "Draft tokens committed verbatim (verifier agreed).");
-  h_.spec_rejected = &registry_.counter(
-      "wisdom_spec_rejected_total",
-      "Draft tokens discarded (verifier disagreed or the round was cut).");
-  h_.spec_verify_steps = &registry_.counter(
-      "wisdom_spec_verify_steps_total", "Fused draft-verify rounds.");
-  h_.spec_draft_steps = &registry_.counter(
-      "wisdom_spec_draft_steps_total",
-      "Tokens fed through the draft model (catch-up + guesses).");
-  h_.spec_acceptance = &registry_.gauge(
-      "wisdom_spec_acceptance_rate",
-      "accepted / proposed draft tokens over the service lifetime.");
-  h_.spec_commit_per_verify = &registry_.histogram(
-      "wisdom_spec_commit_tokens_per_verify", {},
-      "Tokens committed per fused verify round (1 = no speculation win).");
   // wisdom_cache_* families: registered even when both caches are
   // disabled, so the exposition (and the CI smoke grep) always sees them.
   h_.cache_prefix_hits = &registry_.counter(
@@ -270,33 +242,6 @@ InferenceService::InferenceService(const model::Transformer& model,
     breaker_metrics.failures_recorded = h_.breaker_failures;
     breaker_ =
         std::make_unique<CircuitBreaker>(options_.breaker, breaker_metrics);
-  }
-
-  // --- speculative decoding: resolve the draft model ----------------------
-  // A borrowed draft wins; otherwise load an owned one from the configured
-  // checkpoint. Anything unusable — missing file, bad checksum, vocab
-  // mismatch — disables speculation instead of failing construction:
-  // the service then decodes exactly as a speculation-free one would.
-  if (options_.speculative_k > 0) {
-    if (options_.draft_model) {
-      draft_ = options_.draft_model;
-    } else if (!options_.draft_checkpoint.empty()) {
-      if (auto loaded =
-              model::load_checkpoint_file(options_.draft_checkpoint, nullptr)) {
-        owned_draft_ = std::make_unique<model::Transformer>(std::move(*loaded));
-        // Weights are position-independent (rotary), so an owned draft can
-        // be re-windowed to mirror the verifier's context exactly.
-        if (owned_draft_->config().ctx != model_.config().ctx)
-          owned_draft_->set_context_window(model_.config().ctx);
-        draft_ = owned_draft_.get();
-      }
-    }
-    if (draft_ && (draft_->config().vocab != model_.config().vocab ||
-                   draft_->config().ctx < model_.config().ctx)) {
-      draft_ = nullptr;
-      owned_draft_.reset();
-    }
-    if (!draft_) options_.speculative_k = 0;
   }
 
   if (options_.prefix_cache_enabled) {
@@ -567,17 +512,6 @@ SuggestionResponse InferenceService::run_one(
       beam.warm_cache = gen.warm_cache;
       beam.prompt_snapshot = gen.prompt_snapshot;
       out = model_.generate_beam(ids, beam);
-    } else if (draft_ && options_.speculative_k > 0) {
-      // Speculative greedy decode: byte-identical to model_.generate()
-      // (greedy acceptance), so every downstream consumer — postprocess,
-      // caches, goldens, streaming — sees exactly the baseline bytes.
-      model::SpeculativeStats spec_stats;
-      model::SpeculativeOptions spec;
-      spec.draft = draft_;
-      spec.k = options_.speculative_k;
-      spec.stats = &spec_stats;
-      out = model::generate_speculative(model_, ids, gen, spec);
-      record_speculation(spec_stats);
     } else {
       out = model_.generate(ids, gen);
     }
@@ -708,28 +642,6 @@ void InferenceService::breaker_record(const SuggestionResponse& response) {
   breaker_->record(failure);
 }
 
-void InferenceService::record_speculation(
-    const model::SpeculativeStats& stats) const {
-  if (stats.proposed > 0)
-    h_.spec_proposed->inc(static_cast<std::uint64_t>(stats.proposed));
-  if (stats.accepted > 0)
-    h_.spec_accepted->inc(static_cast<std::uint64_t>(stats.accepted));
-  if (stats.rejected > 0)
-    h_.spec_rejected->inc(static_cast<std::uint64_t>(stats.rejected));
-  if (stats.draft_steps > 0)
-    h_.spec_draft_steps->inc(static_cast<std::uint64_t>(stats.draft_steps));
-  if (stats.verify_steps > 0) {
-    h_.spec_verify_steps->inc(static_cast<std::uint64_t>(stats.verify_steps));
-    h_.spec_commit_per_verify->observe(
-        static_cast<double>(stats.committed) /
-        static_cast<double>(stats.verify_steps));
-  }
-  const std::uint64_t proposed = h_.spec_proposed->value();
-  if (proposed > 0)
-    h_.spec_acceptance->set(static_cast<double>(h_.spec_accepted->value()) /
-                            static_cast<double>(proposed));
-}
-
 void InferenceService::observe_stages(const obs::Trace& trace) const {
   for (const obs::Span& span : trace.spans) {
     obs::Histogram* histogram = nullptr;
@@ -741,8 +653,6 @@ void InferenceService::observe_stages(const obs::Trace& trace) const {
     else if (span.name == "postprocess") histogram = h_.stage_postprocess;
     else if (span.name == "fallback") histogram = h_.stage_fallback;
     else if (span.name == "cache") histogram = h_.stage_cache;
-    else if (span.name == "draft") histogram = h_.stage_draft;
-    else if (span.name == "verify") histogram = h_.stage_verify;
     if (histogram) histogram->observe(span.duration_ms);
   }
 }

@@ -57,7 +57,6 @@
 #include <string_view>
 #include <vector>
 
-#include "model/speculative.hpp"
 #include "model/transformer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -109,24 +108,6 @@ struct ServiceOptions {
   // TTL for both caches, measured in cache lookups (a request count, not
   // wall time — deterministic under test); 0 disables expiry.
   std::uint64_t cache_ttl_requests = 0;
-  // --- speculative decoding -----------------------------------------------
-  // Draft tokens proposed per verify round; <= 0 disables speculation (the
-  // seed behaviour, preserved exactly). With a draft configured, greedy
-  // requests decode speculatively — a small config drafts k tokens, the
-  // served model verifies them in one fused forward pass — with output
-  // byte-identical to non-speculative serving (greedy acceptance). Beam
-  // and sampled requests always decode non-speculatively.
-  int speculative_k = 0;
-  // Draft model (borrowed; must outlive the service). Takes precedence
-  // over draft_checkpoint. Must share the verifier's vocab; a context
-  // window at least as large is required (an owned checkpoint draft is
-  // re-windowed automatically). An incompatible draft disables
-  // speculation rather than failing construction.
-  const model::Transformer* draft_model = nullptr;
-  // Checkpoint path to load an owned draft from when draft_model is null.
-  // A missing or corrupt file disables speculation (serving never fails
-  // for lack of a draft).
-  std::string draft_checkpoint;
   // --- overload resilience ------------------------------------------------
   // Admission circuit breaker: past a rolling-window failure-rate
   // threshold, arrivals short-circuit to the deterministic fallback with
@@ -356,18 +337,6 @@ class InferenceService {
     obs::Gauge* drain_state = nullptr;
     obs::Counter* drain_rejected = nullptr;
     obs::Counter* drain_completed = nullptr;
-    // Speculative-decoding families (wisdom_spec_*) plus the draft/verify
-    // stage histograms. Registered unconditionally so every family is
-    // scrapeable at 0 with speculation off.
-    obs::Counter* spec_proposed = nullptr;
-    obs::Counter* spec_accepted = nullptr;
-    obs::Counter* spec_rejected = nullptr;
-    obs::Counter* spec_verify_steps = nullptr;
-    obs::Counter* spec_draft_steps = nullptr;
-    obs::Gauge* spec_acceptance = nullptr;
-    obs::Histogram* spec_commit_per_verify = nullptr;
-    obs::Histogram* stage_draft = nullptr;
-    obs::Histogram* stage_verify = nullptr;
   };
 
   // Which pipeline a request takes after admission decisions: the full
@@ -423,9 +392,6 @@ class InferenceService {
                             obs::TraceContext& trace) const;
   // Counter updates for one gate outcome (per-rule, severity, repair).
   void record_lint(const LintOutcome& outcome) const;
-  // Merges one request's speculative-decoding tallies into the
-  // wisdom_spec_* families and refreshes the acceptance-rate gauge.
-  void record_speculation(const model::SpeculativeStats& stats) const;
   // Feeds the completed trace's stage totals into the per-stage
   // histograms.
   void observe_stages(const obs::Trace& trace) const;
@@ -442,10 +408,6 @@ class InferenceService {
   ServiceOptions options_;
   FallbackSuggester fallback_;
   AdmissionQueue queue_;
-  // Speculative decoding: the resolved draft (borrowed from options or
-  // owned via draft_checkpoint; null = speculation off).
-  std::unique_ptr<model::Transformer> owned_draft_;
-  const model::Transformer* draft_ = nullptr;
   // Null when the corresponding ServiceOptions flag is off. Both caches
   // are internally synchronized; run_one (const) uses them from every
   // serving thread.

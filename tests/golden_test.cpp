@@ -203,53 +203,6 @@ TEST(Golden, ServedResponsesMatchCommittedBytes) {
   }
 }
 
-// Speculative decoding is an execution strategy, never an output decision:
-// serving the golden cases with a draft model and speculative_k > 0 must
-// reproduce the committed speculative-off goldens byte for byte. The draft
-// is deliberately an untrained fixed-seed model — agreement quality only
-// moves the accept/reject mix (exercising the mismatch-resync path hard),
-// and the bytes must not care either way.
-TEST(Golden, SpeculativeServingMatchesCommittedBytes) {
-  const auto dir = golden_dir();
-  auto loaded = wm::load_checkpoint_file_ex((dir / "model.ckpt").string());
-  ASSERT_TRUE(loaded.ok()) << loaded.message;
-  auto tokenizer = wt::BpeTokenizer::deserialize(loaded.tokenizer);
-  ASSERT_TRUE(tokenizer.has_value());
-
-  wm::ModelConfig draft_cfg = micro_config(*tokenizer);
-  draft_cfg.d_model = 16;
-  draft_cfg.n_layer = 1;
-  draft_cfg.d_ff = 32;
-  const wm::Transformer draft(draft_cfg, 33);
-
-  ws::ServiceOptions options = golden_service_options();
-  options.speculative_k = 3;
-  options.draft_model = &draft;
-  ws::InferenceService service(*loaded.model, *tokenizer, options);
-  ASSERT_EQ(service.options().speculative_k, 3);
-
-  for (const GoldenCase& c : kCases) {
-    ws::SuggestionRequest request;
-    request.context = c.context;
-    request.prompt = c.prompt;
-    request.indent = c.indent;
-    const std::string actual = canonical_json(service.suggest(request));
-    const auto path = dir / (std::string("case_") + c.name + ".json");
-    auto expected = read_file(path);
-    ASSERT_TRUE(expected.has_value())
-        << path << " missing — run with --update-golden";
-    EXPECT_EQ(*expected, actual + "\n")
-        << "speculative serving diverged from committed goldens for "
-        << c.name << "\n" << line_diff(*expected, actual + "\n");
-  }
-  // The identity must hold because speculation ran, not because the gate
-  // silently disabled it.
-  const auto* proposed =
-      service.metrics().find_counter("wisdom_spec_proposed_total");
-  ASSERT_NE(proposed, nullptr);
-  EXPECT_GT(proposed->value(), 0u);
-}
-
 // The checkpoint round-trip is part of the regression surface: a model
 // saved and reloaded must serve the exact same golden bytes, and
 // invalidate_caches() (mandatory on reload) must not change them.

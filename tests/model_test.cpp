@@ -322,6 +322,57 @@ TEST(Transformer, GenerateRespectsContextWindow) {
   EXPECT_LE(static_cast<int>(out.size() + prompt.size()), cfg.ctx + 1);
 }
 
+// A non-positive decode budget reserves no room for generation: the kept
+// prompt fills at most the whole window, so prefill never writes past the
+// KV rows and generate() returns normally with nothing generated.
+TEST(Transformer, NegativeBudgetKeepsPromptWithinWindow) {
+  wm::ModelConfig cfg = tiny_config();
+  cfg.ctx = 96;
+  const wm::Transformer model(cfg, 43);
+  std::vector<std::int32_t> prompt(120);
+  for (std::size_t i = 0; i < prompt.size(); ++i)
+    prompt[i] = static_cast<std::int32_t>(i) % cfg.vocab;
+  for (int budget : {-1000, -5, 0, 1, 48, 500}) {
+    const auto kept = model.kept_prompt(prompt, budget);
+    EXPECT_LE(kept.size(), 96u) << "budget " << budget;
+    EXPECT_GE(kept.size(), 48u) << "budget " << budget;
+  }
+
+  wm::Transformer::GenerateOptions gen;
+  gen.max_new_tokens = -5;
+  wm::Transformer::GenerateStatus status;
+  gen.status = &status;
+  EXPECT_TRUE(model.generate(prompt, gen).empty());
+  EXPECT_EQ(status.steps_taken, 96);
+  EXPECT_FALSE(status.deadline_expired);
+}
+
+// Both decoders run the same setup before looking at the prompt, so an
+// empty prompt still resets a status reused from an earlier cut-short call.
+TEST(Transformer, EmptyPromptResetsReusedStatus) {
+  const wm::Transformer model(tiny_config(), 47);
+  wm::Transformer::GenerateStatus status;
+  auto expect_reset = [&](const char* label) {
+    EXPECT_FALSE(status.deadline_expired) << label;
+    EXPECT_EQ(status.steps_taken, 0) << label;
+    EXPECT_EQ(status.prefill_tokens_reused, 0) << label;
+  };
+
+  status.deadline_expired = true;
+  status.steps_taken = 7;
+  wm::Transformer::BeamOptions beam;
+  beam.status = &status;
+  EXPECT_TRUE(model.generate_beam({}, beam).empty());
+  expect_reset("beam");
+
+  status.deadline_expired = true;
+  status.steps_taken = 7;
+  wm::Transformer::GenerateOptions gen;
+  gen.status = &status;
+  EXPECT_TRUE(model.generate({}, gen).empty());
+  expect_reset("greedy");
+}
+
 TEST(Transformer, DeterministicConstruction) {
   wm::ModelConfig cfg = tiny_config();
   wm::Transformer a(cfg, 41), b(cfg, 41), c(cfg, 43);

@@ -6,6 +6,7 @@
 #include "serve/service.hpp"
 #include "test_util.hpp"
 #include "text/bpe.hpp"
+#include "util/thread_pool.hpp"
 
 namespace wc = wisdom::core;
 namespace wd = wisdom::data;
@@ -283,27 +284,35 @@ std::vector<ws::SuggestionResponse> sequential_reference(
 
 }  // namespace
 
+// At pool widths 1 and 4, with the caches on and off, a batch serves
+// exactly what sequential suggest() calls serve.
 TEST(ServiceBatch, MatchesSequentialWithCachesOnAndOff) {
   const wt::BpeTokenizer tokenizer = wisdom::testutil::serving_tokenizer();
   const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
   const auto requests = batch_requests();
-  for (bool caches_on : {false, true}) {
-    ws::ServiceOptions options;
-    options.prefix_cache_enabled = caches_on;
-    options.response_cache_enabled = caches_on;
-    const auto expected =
-        sequential_reference(model, tokenizer, options, requests);
+  for (int threads : {1, 4}) {
+    wisdom::util::ThreadPool::set_global_threads(threads);
+    for (bool caches_on : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " caches_on=" + std::to_string(caches_on));
+      ws::ServiceOptions options;
+      options.prefix_cache_enabled = caches_on;
+      options.response_cache_enabled = caches_on;
+      const auto expected =
+          sequential_reference(model, tokenizer, options, requests);
 
-    ws::InferenceService batched(model, tokenizer, options);
-    const auto responses = batched.suggest_batch(requests);
-    ASSERT_EQ(responses.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      expect_same_payload(responses[i], expected[i], i);
-    const ws::ServiceStats stats = batched.stats_snapshot();
-    EXPECT_EQ(stats.requests, requests.size());
-    EXPECT_EQ(stats.latencies_ms.size(), requests.size());
-    EXPECT_GT(stats.total_wall_ms, 0.0);
+      ws::InferenceService batched(model, tokenizer, options);
+      const auto responses = batched.suggest_batch(requests);
+      ASSERT_EQ(responses.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i)
+        expect_same_payload(responses[i], expected[i], i);
+      const ws::ServiceStats stats = batched.stats_snapshot();
+      EXPECT_EQ(stats.requests, requests.size());
+      EXPECT_EQ(stats.latencies_ms.size(), requests.size());
+      EXPECT_GT(stats.total_wall_ms, 0.0);
+    }
   }
+  wisdom::util::ThreadPool::set_global_threads(0);
 }
 
 TEST(ServiceBatch, FaultInjectionMatchesSequential) {

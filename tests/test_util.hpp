@@ -1,6 +1,6 @@
-// Shared test fixtures: the tiny-model / tokenizer / checkpoint builders
-// used by the model, serve, cache, chaos, parity and http suites, so each
-// constructs identical models from one definition.
+// Shared test fixtures: the tiny-model / tokenizer builders used by the
+// model, serve, cache, chaos and http suites, so each constructs identical
+// models from one definition.
 //
 // Two model families live here:
 //  - tiny_config() / serving_model(): an UNtrained 2-layer model whose
@@ -8,10 +8,7 @@
 //    chaos tests, where only byte-identity across serving modes matters.
 //  - TrainedTinyModel: a micro model trained for ~2s on a synthetic
 //    apt-task corpus, producing schema-shaped YAML — right for
-//    end-to-end/golden tests that assert on response content. Its
-//    `draft` member is a smaller config trained on the SAME corpus with
-//    the SAME tokenizer, so greedy agreement with the main model is high
-//    — the speculative-decoding tests and benches need that pairing.
+//    end-to-end tests that assert on response content.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +25,8 @@
 
 namespace wisdom::testutil {
 
-// The untrained micro-model config shared by the chaos and parity-style
-// tests (96-token vocab, no tokenizer involved).
+// The untrained micro-model config behind serving_model() and the
+// model-level parity tests (96-token vocab, no tokenizer involved).
 inline model::ModelConfig tiny_config() {
   model::ModelConfig cfg;
   cfg.vocab = 96;
@@ -38,18 +35,6 @@ inline model::ModelConfig tiny_config() {
   cfg.n_head = 2;
   cfg.n_layer = 2;
   cfg.d_ff = 48;
-  return cfg;
-}
-
-// A strictly smaller config over the same vocab/ctx — the draft side of
-// a speculative pair. Sharing ctx keeps the applicability gate
-// (draft ctx >= model ctx) satisfied.
-inline model::ModelConfig tiny_draft_config() {
-  model::ModelConfig cfg = tiny_config();
-  cfg.d_model = 16;
-  cfg.n_head = 2;
-  cfg.n_layer = 1;
-  cfg.d_ff = 32;
   return cfg;
 }
 
@@ -87,29 +72,15 @@ inline model::Transformer serving_model(const text::BpeTokenizer& tokenizer) {
   return model::Transformer(cfg, 17);
 }
 
-// An untrained draft paired with serving_model(): same vocab, same ctx,
-// smaller everything else. Deterministic (fixed seed), so parity runs
-// that share it produce identical draft proposals.
-inline model::Transformer serving_draft(const text::BpeTokenizer& tokenizer) {
-  model::ModelConfig cfg = tiny_draft_config();
-  cfg.vocab = static_cast<std::int32_t>(tokenizer.vocab_size());
-  return model::Transformer(cfg, 29);
-}
-
 // The trained micro-model shared by content-asserting suites. Training
-// takes ~2s; suites hold one instance via trained_tiny(). The draft is
-// trained on the same packed corpus so its greedy argmax agrees with the
-// main model on most schema tokens — speculation then actually commits
-// multi-token runs in tests instead of degenerating to k rejections.
+// takes ~2s; suites hold one instance via trained_tiny().
 struct TrainedTinyModel {
   text::BpeTokenizer tokenizer;
   model::Transformer model;
-  model::Transformer draft;
 
   TrainedTinyModel()
       : tokenizer(text::BpeTokenizer::train(corpus(), 300)),
-        model(config(), 21),
-        draft(draft_config(), 33) {
+        model(config(), 21) {
     std::vector<std::string> texts;
     const char* pkgs[] = {"nginx", "redis", "git", "curl", "vim",
                           "htop", "jq", "wget"};
@@ -127,7 +98,6 @@ struct TrainedTinyModel {
     tc.grad_accum = 1;
     tc.lr = 3e-3f;
     core::train_model(model, set, nullptr, tc);
-    core::train_model(draft, set, nullptr, tc);
   }
 
   static std::string corpus() {
@@ -144,14 +114,6 @@ struct TrainedTinyModel {
     cfg.n_head = 2;
     cfg.n_layer = 2;
     cfg.d_ff = 48;
-    return cfg;
-  }
-  model::ModelConfig draft_config() const {
-    model::ModelConfig cfg = config();
-    cfg.d_model = 16;
-    cfg.n_head = 2;
-    cfg.n_layer = 1;
-    cfg.d_ff = 32;
     return cfg;
   }
 };
