@@ -373,12 +373,15 @@ BENCHMARK(BM_PrefixCacheSweep)
 
 }  // namespace
 
-// Custom main: after the benchmarks, dump the global registry (pool +
-// model decode families) and the last serving benchmark's per-service
-// registry so the CI smoke job can grep the expected metric families.
+// Custom main: stamps the build type into the benchmark context (the
+// regression check refuses to compare different ones), then after the
+// benchmarks dumps the global registry (pool + model decode families) and
+// the last serving benchmark's per-service registry so the CI smoke job
+// can grep the expected metric families.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("wisdom_build_type", WISDOM_BUILD_TYPE);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   std::printf("\n--- metrics exposition (global registry) ---\n%s",

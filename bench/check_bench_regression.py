@@ -22,10 +22,14 @@ baseline without a manual commit.
 
 The two runs must come from hosts with the same CPU count
 (context.num_cpus): throughput on 1 CPU says nothing about 4, so a
-mismatch is refused rather than compared.
+mismatch is refused rather than compared. Likewise for the build type
+bench_throughput stamps into its context (context.wisdom_build_type): a
+Debug run against a Release baseline is refused. A run or baseline
+recorded before the stamp existed is still compared, with a note saying
+so.
 
 Exit codes: 0 = within threshold (or baseline seeded), 1 = regression,
-2 = usage / malformed input / CPU-count mismatch.
+2 = usage / malformed input / CPU-count or build-type mismatch.
 """
 
 import argparse
@@ -54,17 +58,20 @@ def load_rates(path):
     return {name: max(rates) for name, rates in samples.items()}
 
 
+# The context key bench_throughput stamps with its CMake build type.
+BUILD_TYPE_KEY = "wisdom_build_type"
+
 # Service-quality counters gated in addition to tokens/s. Higher is worse,
 # and they are fractions of offered/served traffic, so the comparison is an
 # absolute-increase bound rather than a relative drop.
 QUALITY_FIELDS = ("shed_rate", "degraded_rate")
 
 
-def load_num_cpus(path):
-    """The run's context.num_cpus, or None when the file does not say."""
+def load_context(path, key):
+    """The run's context[key], or None when the file does not say."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    return doc.get("context", {}).get("num_cpus")
+    return doc.get("context", {}).get(key)
 
 
 def load_quality(path):
@@ -126,13 +133,28 @@ def main():
         print(f"error: cannot read baseline {args.baseline}: {err}")
         return 2
 
-    current_cpus = load_num_cpus(args.current)
-    baseline_cpus = load_num_cpus(args.baseline)
+    current_cpus = load_context(args.current, "num_cpus")
+    baseline_cpus = load_context(args.baseline, "num_cpus")
     if current_cpus != baseline_cpus:
         print(f"error: refusing to compare runs from different hosts: "
               f"{args.current} has num_cpus={current_cpus}, "
               f"{args.baseline} has num_cpus={baseline_cpus}; re-seed the "
               "baseline on this host")
+        return 2
+
+    current_build = load_context(args.current, BUILD_TYPE_KEY)
+    baseline_build = load_context(args.baseline, BUILD_TYPE_KEY)
+    if current_build is None or baseline_build is None:
+        unstamped = [path for path, build in ((args.current, current_build),
+                                              (args.baseline, baseline_build))
+                     if build is None]
+        print(f"note: {' and '.join(unstamped)} carries no "
+              f"{BUILD_TYPE_KEY}; comparing without the build-type check")
+    elif current_build != baseline_build:
+        print(f"error: refusing to compare different build types: "
+              f"{args.current} has {BUILD_TYPE_KEY}={current_build}, "
+              f"{args.baseline} has {BUILD_TYPE_KEY}={baseline_build}; "
+              "re-run in the baseline's build type or re-seed the baseline")
         return 2
 
     failures = []

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "nn/ops.hpp"
@@ -71,9 +70,10 @@ void accumulate_dk(const float* dscores, const float* q, float* dk, int t,
 // global pool when the per-call attention work clears the nn parallel
 // threshold. Each (b, head) slot touches disjoint slices of the activation
 // buffers, and every slot is computed exactly as in the sequential loop, so
-// results are bit-identical at any thread count.
-void for_each_head(int batch, int h, std::size_t madds,
-                   const std::function<void(int, int)>& body) {
+// results are bit-identical at any thread count. The body is taken as a
+// template so the inline path wraps nothing in a std::function.
+template <class Body>
+void for_each_head(int batch, int h, std::size_t madds, const Body& body) {
   const int slots = batch * h;
   if (slots > 1 && madds >= nn::parallel_threshold() &&
       !util::ThreadPool::in_worker()) {
@@ -91,7 +91,8 @@ void for_each_head(int batch, int h, std::size_t madds,
 }  // namespace
 
 Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
-    : config_(config) {
+    : config_(config),
+      rotary_(nn::rotary_table(config.ctx, config.rotary_dim())) {
   assert(config_.valid());
   util::Rng rng(seed);
   const int d = config_.d_model;
@@ -138,6 +139,7 @@ Transformer::Transformer(const ModelConfig& config, std::uint64_t seed)
 void Transformer::set_context_window(std::int32_t ctx) {
   assert(ctx >= 8);
   config_.ctx = ctx;
+  rotary_ = nn::rotary_table(ctx, config_.rotary_dim());
 }
 
 std::int64_t Transformer::param_count() const {
@@ -208,7 +210,6 @@ float Transformer::run(std::span<const std::int32_t> x,
   const int d = config_.d_model;
   const int h = config_.n_head;
   const int hd = config_.head_dim();
-  const int rot = config_.rotary_dim();
   const int ff = config_.d_ff;
   const int v = config_.vocab;
   const int rows = batch * t;
@@ -262,8 +263,8 @@ float Transformer::run(std::span<const std::int32_t> x,
           std::memcpy(&vh[static_cast<std::size_t>(i) * hd],
                       row + 2 * d + head * hd, hd * sizeof(float));
         }
-        nn::rotary(qh.data(), t, hd, rot, 0);
-        nn::rotary(kh.data(), t, hd, rot, 0);
+        nn::rotary(qh.data(), t, hd, rotary_, 0);
+        nn::rotary(kh.data(), t, hd, rotary_, 0);
         // Write the rotated q/k back so the backward pass sees them.
         for (int i = 0; i < t; ++i) {
           float* row =
@@ -418,8 +419,8 @@ float Transformer::run(std::span<const std::int32_t> x,
         nn::matmul(dscores.data(), kh.data(), dqh.data(), t, t, hd);
         std::fill(dkh.begin(), dkh.end(), 0.0f);
         accumulate_dk(dscores.data(), qh.data(), dkh.data(), t, hd);
-        nn::rotary_backward(dqh.data(), t, hd, rot, 0);
-        nn::rotary_backward(dkh.data(), t, hd, rot, 0);
+        nn::rotary_backward(dqh.data(), t, hd, rotary_, 0);
+        nn::rotary_backward(dkh.data(), t, hd, rotary_, 0);
         for (int i = 0; i < t; ++i) {
           float* row =
               dqkv.data() + (static_cast<std::size_t>(b) * t + i) * 3 * d;
@@ -504,34 +505,62 @@ void prepare_append(Transformer::KvCache& cache, int ctx) {
   }
 }
 
+// The buffers one decode step works in, one set per thread. A step that is
+// no wider and no larger than one this thread has already run reuses them
+// and allocates nothing.
+struct StepScratch {
+  Vec x, norm, qkv, mix, tmp, fc, mean, rstd, logits;
+  // One attention row [ctx]. Attention lanes read it from the thread they
+  // run on, so pool lanes never share one and an inline lane uses the
+  // calling thread's.
+  Vec att;
+};
+
+StepScratch& step_scratch() {
+  thread_local StepScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 std::span<const float> Transformer::decode_step(KvCache& cache,
                                                 std::int32_t token) const {
   KvCache* caches[1] = {&cache};
-  const std::int32_t tokens[1] = {token};
-  decode_step_batch(std::span<KvCache* const>(caches, 1),
-                    std::span<const std::int32_t>(tokens, 1));
+  step(caches, std::span<const std::int32_t>(&token, 1), /*logits=*/true);
   return cache.logits;
 }
 
 void Transformer::decode_step_batch(
     std::span<KvCache* const> caches,
     std::span<const std::int32_t> tokens) const {
+  step(caches, tokens, /*logits=*/true);
+}
+
+void Transformer::step(std::span<KvCache* const> caches,
+                       std::span<const std::int32_t> tokens,
+                       bool logits) const {
   assert(tokens.size() == caches.size());
   const int n = static_cast<int>(caches.size());
   if (n == 0) return;
   const int d = config_.d_model;
   const int h = config_.n_head;
   const int hd = config_.head_dim();
-  const int rot = config_.rotary_dim();
   const int ff = config_.d_ff;
   const int v = config_.vocab;
   const float att_scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
-  // Row r appends tokens[r] to *caches[r] at position caches[r]->length.
+  StepScratch& s = step_scratch();
   const std::size_t nd = static_cast<std::size_t>(n) * d;
-  Vec x(nd);
+  s.x.resize(nd);
+  s.norm.resize(nd);
+  s.qkv.resize(3 * nd);
+  s.mix.resize(nd);
+  s.tmp.resize(nd);
+  s.fc.resize(static_cast<std::size_t>(n) * ff);
+  s.mean.resize(static_cast<std::size_t>(n));
+  s.rstd.resize(static_cast<std::size_t>(n));
+
+  // Row r appends tokens[r] to *caches[r] at position caches[r]->length.
   // Attention work this step: q·K^T plus probs·V per (row, head).
   std::size_t att_madds = 0;
   for (int r = 0; r < n; ++r) {
@@ -540,15 +569,13 @@ void Transformer::decode_step_batch(
     assert(cache.length < config_.ctx);
     assert(token >= 0 && token < v);
     prepare_append(cache, config_.ctx);
-    std::memcpy(x.data() + static_cast<std::size_t>(r) * d,
+    std::memcpy(s.x.data() + static_cast<std::size_t>(r) * d,
                 wte_.w.data() + static_cast<std::size_t>(token) * d,
                 d * sizeof(float));
     att_madds += 2ull * static_cast<std::size_t>(h) *
                  static_cast<std::size_t>(cache.length + 1) *
                  static_cast<std::size_t>(hd);
   }
-  Vec a1(nd), qkv(static_cast<std::size_t>(n) * 3 * d), mix(nd), tmp(nd),
-      a2(nd), fc(static_cast<std::size_t>(n) * ff), mean(n), rstd(n);
 
   for (std::size_t li = 0; li < layers_.size(); ++li) {
     const Layer& L = layers_[li];
@@ -556,18 +583,18 @@ void Transformer::decode_step_batch(
     // single-row step would (row-independent kernels), and a row's
     // attention reads only its own cache — so the fused pass is
     // bit-identical to sequential decode_steps.
-    nn::layernorm(x.data(), L.ln1_g.w.data(), L.ln1_b.w.data(), a1.data(),
-                  mean.data(), rstd.data(), n, d);
-    nn::matmul(a1.data(), L.wqkv.w.data(), qkv.data(), n, d, 3 * d);
-    nn::add_bias(qkv.data(), L.bqkv.w.data(), qkv.data(), n, 3 * d);
+    nn::layernorm(s.x.data(), L.ln1_g.w.data(), L.ln1_b.w.data(),
+                  s.norm.data(), s.mean.data(), s.rstd.data(), n, d);
+    nn::matmul(s.norm.data(), L.wqkv.w.data(), s.qkv.data(), n, d, 3 * d);
+    nn::add_bias(s.qkv.data(), L.bqkv.w.data(), s.qkv.data(), n, 3 * d);
     for (int r = 0; r < n; ++r) {
-      float* row = qkv.data() + static_cast<std::size_t>(r) * 3 * d;
+      float* row = s.qkv.data() + static_cast<std::size_t>(r) * 3 * d;
       KvCache& cache = *caches[static_cast<std::size_t>(r)];
       const int p = cache.length;
       // Rotate q and k at this row's position.
       for (int head = 0; head < h; ++head) {
-        nn::rotary(row + head * hd, 1, hd, rot, p);
-        nn::rotary(row + d + head * hd, 1, hd, rot, p);
+        nn::rotary(row + head * hd, 1, hd, rotary_, p);
+        nn::rotary(row + d + head * hd, 1, hd, rotary_, p);
       }
       // Append rotated k and v.
       const std::size_t at = static_cast<std::size_t>(p) * d;
@@ -577,7 +604,8 @@ void Transformer::decode_step_batch(
     }
 
     for_each_head(n, h, att_madds, [&](int s0, int s1) {
-      Vec att(static_cast<std::size_t>(config_.ctx));
+      Vec& att = step_scratch().att;
+      att.resize(static_cast<std::size_t>(config_.ctx));
       for (int slot = s0; slot < s1; ++slot) {
         const int r = slot / h;
         const int head = slot % h;
@@ -585,7 +613,7 @@ void Transformer::decode_step_batch(
         const float* keys = cache.keys[li].data() + head * hd;
         const float* values = cache.values[li].data() + head * hd;
         const float* q =
-            qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
+            s.qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
         const int count = cache.length + 1;
         for (int j = 0; j < count; ++j) {
           const float* krow = keys + static_cast<std::size_t>(j) * d;
@@ -594,7 +622,7 @@ void Transformer::decode_step_batch(
           att[static_cast<std::size_t>(j)] = acc * att_scale;
         }
         nn::softmax(att.data(), att.data(), 1, count);
-        float* out = mix.data() + static_cast<std::size_t>(r) * d + head * hd;
+        float* out = s.mix.data() + static_cast<std::size_t>(r) * d + head * hd;
         std::fill(out, out + hd, 0.0f);
         for (int j = 0; j < count; ++j) {
           const float w = att[static_cast<std::size_t>(j)];
@@ -604,28 +632,33 @@ void Transformer::decode_step_batch(
       }
     });
 
-    nn::matmul(mix.data(), L.wo.w.data(), tmp.data(), n, d, d);
-    nn::add_bias(tmp.data(), L.bo.w.data(), tmp.data(), n, d);
-    for (std::size_t i = 0; i < nd; ++i) x[i] += tmp[i];
+    nn::matmul(s.mix.data(), L.wo.w.data(), s.tmp.data(), n, d, d);
+    nn::add_bias(s.tmp.data(), L.bo.w.data(), s.tmp.data(), n, d);
+    for (std::size_t i = 0; i < nd; ++i) s.x[i] += s.tmp[i];
 
-    nn::layernorm(x.data(), L.ln2_g.w.data(), L.ln2_b.w.data(), a2.data(),
-                  mean.data(), rstd.data(), n, d);
-    nn::matmul(a2.data(), L.wfc.w.data(), fc.data(), n, d, ff);
-    nn::add_bias(fc.data(), L.bfc.w.data(), fc.data(), n, ff);
-    nn::gelu(fc.data(), fc.data(), n * ff);
-    nn::matmul(fc.data(), L.wproj.w.data(), tmp.data(), n, ff, d);
-    nn::add_bias(tmp.data(), L.bproj.w.data(), tmp.data(), n, d);
-    for (std::size_t i = 0; i < nd; ++i) x[i] += tmp[i];
+    nn::layernorm(s.x.data(), L.ln2_g.w.data(), L.ln2_b.w.data(),
+                  s.norm.data(), s.mean.data(), s.rstd.data(), n, d);
+    nn::matmul(s.norm.data(), L.wfc.w.data(), s.fc.data(), n, d, ff);
+    nn::add_bias(s.fc.data(), L.bfc.w.data(), s.fc.data(), n, ff);
+    nn::gelu(s.fc.data(), s.fc.data(), n * ff);
+    nn::matmul(s.fc.data(), L.wproj.w.data(), s.tmp.data(), n, ff, d);
+    nn::add_bias(s.tmp.data(), L.bproj.w.data(), s.tmp.data(), n, d);
+    for (std::size_t i = 0; i < nd; ++i) s.x[i] += s.tmp[i];
   }
-  nn::layernorm(x.data(), lnf_g_.w.data(), lnf_b_.w.data(), a1.data(),
-                mean.data(), rstd.data(), n, d);
-  Vec logits_all(static_cast<std::size_t>(n) * v);
-  nn::matmul(a1.data(), head_.w.data(), logits_all.data(), n, d, v);
+  if (logits) {
+    nn::layernorm(s.x.data(), lnf_g_.w.data(), lnf_b_.w.data(), s.norm.data(),
+                  s.mean.data(), s.rstd.data(), n, d);
+    s.logits.resize(static_cast<std::size_t>(n) * v);
+    nn::matmul(s.norm.data(), head_.w.data(), s.logits.data(), n, d, v);
+  }
   for (int r = 0; r < n; ++r) {
     KvCache& cache = *caches[static_cast<std::size_t>(r)];
-    cache.logits.assign(
-        logits_all.begin() + static_cast<std::ptrdiff_t>(r) * v,
-        logits_all.begin() + static_cast<std::ptrdiff_t>(r + 1) * v);
+    if (logits)
+      cache.logits.assign(
+          s.logits.begin() + static_cast<std::ptrdiff_t>(r) * v,
+          s.logits.begin() + static_cast<std::ptrdiff_t>(r + 1) * v);
+    else
+      cache.logits.clear();
     ++cache.length;
   }
 }
@@ -666,12 +699,14 @@ bool Transformer::prefill(std::span<const std::int32_t> kept, KvCache& cache,
     auto prefill_span = trace.span("prefill");
     auto prefill_start = observe ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
+    KvCache* caches[1] = {&cache};
     for (std::size_t i = skip; i < kept.size(); ++i) {
       if (deadline.expired()) {
         status.deadline_expired = true;
         return false;
       }
-      decode_step(cache, kept[i]);
+      // Only the last prompt token's logits are ever read.
+      step(caches, kept.subspan(i, 1), /*logits=*/i + 1 == kept.size());
       ++status.steps_taken;
     }
     if (observe) {
@@ -681,6 +716,8 @@ bool Transformer::prefill(std::span<const std::int32_t> kept, KvCache& cache,
     }
   }
   if (kept.empty()) return false;
+  // The last prompt token's step (or the warm cache) left the logits.
+  assert(static_cast<int>(cache.logits.size()) == config_.vocab);
   if (prompt_snapshot)
     *prompt_snapshot = cache.clone(static_cast<int>(kept.size()));
   return true;

@@ -16,6 +16,7 @@
 
 #include "model/config.hpp"
 #include "nn/adamw.hpp"
+#include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 #include "obs/trace.hpp"
 #include "util/deadline.hpp"
@@ -33,7 +34,8 @@ class Transformer {
   // Changes the runtime context window. Weights are position-independent
   // (rotary embeddings), so the same checkpoint can train or decode at any
   // window size — which is how the context-window ablation (512/1024/2048
-  // in Table V) reuses one pre-trained model.
+  // in Table V) reuses one pre-trained model. Rebuilds the rotary angle
+  // table for the new window.
   void set_context_window(std::int32_t ctx);
 
   // Runs a training micro-batch: inputs x[B*T], next-token targets
@@ -81,12 +83,14 @@ class Transformer {
   // for the next position (valid until the next call on the same cache).
   // Cache length must be < ctx. Thread-safe across distinct caches.
   std::span<const float> decode_step(KvCache& cache, std::int32_t token) const;
-  // One iteration-level batched step: appends tokens[i] to caches[i] for
-  // every sequence in one fused forward pass (batched layernorm/matmul
-  // rows, per-sequence attention against each cache). Every kernel is
-  // row-independent, so each cache's logits are bit-identical to a
-  // sequential decode_step(caches[i], tokens[i]) — at any WISDOM_THREADS.
-  // Caches must be distinct; each length must be < ctx.
+  // Multi-row step: appends tokens[i] to caches[i] for every row in one
+  // fused forward pass (batched layernorm/matmul rows, per-row attention
+  // against each cache). Every kernel is row-independent, so each cache's
+  // logits are bit-identical to a sequential decode_step(caches[i],
+  // tokens[i]) — at any WISDOM_THREADS. Serving decodes one row per
+  // request through decode_step; this form backs the serving benchmark's
+  // per-width step trace and the batch parity tests. Caches must be
+  // distinct; each length must be < ctx.
   void decode_step_batch(std::span<KvCache* const> caches,
                          std::span<const std::int32_t> tokens) const;
 
@@ -215,10 +219,19 @@ class Transformer {
   float run(std::span<const std::int32_t> x, std::span<const std::int32_t> y,
             int batch, int t, bool backward);
 
+  // The body decode_step and decode_step_batch share: appends tokens[i]
+  // to caches[i]. With `logits` false it skips the final layernorm and LM
+  // head and leaves each cache's logits empty; prefill steps so for every
+  // kept prompt token but the last, whose logits are the only ones read.
+  // A step's buffers come from per-thread scratch, so once warm it
+  // allocates nothing.
+  void step(std::span<KvCache* const> caches,
+            std::span<const std::int32_t> tokens, bool logits) const;
+
   // The setup and prefill generate() and generate_beam() share: resets
   // `status`, counts the call in the wisdom_model_* families, then feeds
-  // the kept prompt past the cache's warm prefix one decode_step per
-  // token, each behind one deadline check, under a "prefill" span. On
+  // the kept prompt past the cache's warm prefix one step per token, each
+  // behind one deadline check, under a "prefill" span. On
   // success cache.logits holds the next-token logits and `prompt_snapshot`
   // (when non-null) a compacted clone of the prefilled prompt. Returns
   // false when there is nothing to decode from: an empty kept prompt, or
@@ -228,6 +241,7 @@ class Transformer {
                obs::TraceContext& trace, KvCache* prompt_snapshot) const;
 
   ModelConfig config_;
+  nn::RotaryTable rotary_;  // rotary angles for positions [0, ctx)
   nn::Param wte_;
   std::vector<Layer> layers_;
   nn::Param lnf_g_, lnf_b_;

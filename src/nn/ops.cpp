@@ -1,5 +1,6 @@
 #include "nn/ops.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -22,34 +23,65 @@ bool pool_worthwhile(std::size_t madds) {
 // as the full sequential loop would (same per-element accumulation order),
 // so the sharded result is bit-identical to the sequential one.
 
-void matmul_rows(const float* a, const float* b, float* c, int i0, int i1,
-                 int k, int n) {
+// Output columns per block of the matmul row kernel: full blocks of
+// kBlock, then one block of the rest's whole multiple of kNarrow (16, 32
+// or 48 columns), then a tail narrower than kNarrow.
+constexpr int kBlock = 64;
+constexpr int kNarrow = 16;
+
+// crow[j0, j0 + width) = arow * B[:, j0, j0 + width), width <= W. The
+// block's outputs stay in local accumulators across all of k and are
+// stored once, rather than loaded and stored once per input element; it
+// is inlined so that a constant width keeps them in registers. Per element
+// the arithmetic is still zero, then one multiply-add per nonzero a in
+// ascending p, so any split of the columns into blocks is bit-identical.
+template <int W>
+[[gnu::always_inline]] inline void matmul_row_block(const float* arow,
+                                                    const float* b,
+                                                    float* crow, int k,
+                                                    int n, int j0,
+                                                    int width) {
+  float acc[W] = {};
+  for (int p = 0; p < k; ++p) {
+    const float av = arow[p];
+    if (av == 0.0f) continue;
+    const float* brow = b + static_cast<std::size_t>(p) * n + j0;
+    for (int jj = 0; jj < width; ++jj) acc[jj] += av * brow[jj];
+  }
+  std::memcpy(crow + j0, acc, static_cast<std::size_t>(width) * sizeof(float));
+}
+
+// C[i0, i1) x [j0, j1) of C = A * B, one row at a time in column blocks.
+// The row-sharded (m > 1) and column-sharded (single-row) pool paths and
+// the sequential path all run this.
+void matmul_block(const float* a, const float* b, float* c, int i0, int i1,
+                  int j0, int j1, int k, int n) {
   for (int i = i0; i < i1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
     float* crow = c + static_cast<std::size_t>(i) * n;
-    std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    int j = j0;
+    for (; j1 - j >= kBlock; j += kBlock)
+      matmul_row_block<kBlock>(arow, b, crow, k, n, j, kBlock);
+    // One block for the rest rather than one per kNarrow columns: each
+    // element's multiply-adds form a serial chain, so a wider block keeps
+    // more independent chains in flight per pass over k.
+    switch ((j1 - j) / kNarrow) {
+      case 3:
+        matmul_row_block<3 * kNarrow>(arow, b, crow, k, n, j, 3 * kNarrow);
+        j += 3 * kNarrow;
+        break;
+      case 2:
+        matmul_row_block<2 * kNarrow>(arow, b, crow, k, n, j, 2 * kNarrow);
+        j += 2 * kNarrow;
+        break;
+      case 1:
+        matmul_row_block<kNarrow>(arow, b, crow, k, n, j, kNarrow);
+        j += kNarrow;
+        break;
+      default:
+        break;
     }
-  }
-}
-
-void matmul_cols(const float* a, const float* b, float* c, int m, int k,
-                 int j0, int j1, int n) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    std::memset(crow + j0, 0,
-                static_cast<std::size_t>(j1 - j0) * sizeof(float));
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-    }
+    if (j < j1) matmul_row_block<kNarrow>(arow, b, crow, k, n, j, j1 - j);
   }
 }
 
@@ -142,19 +174,19 @@ void matmul(const float* a, const float* b, float* c, int m, int k, int n) {
     if (pool.size() > 1) {
       if (m > 1) {
         pool.parallel_for(0, m, [&](std::int64_t i0, std::int64_t i1) {
-          matmul_rows(a, b, c, static_cast<int>(i0), static_cast<int>(i1), k,
-                      n);
+          matmul_block(a, b, c, static_cast<int>(i0), static_cast<int>(i1),
+                       0, n, k, n);
         });
       } else {
         pool.parallel_for(0, n, [&](std::int64_t j0, std::int64_t j1) {
-          matmul_cols(a, b, c, m, k, static_cast<int>(j0),
-                      static_cast<int>(j1), n);
+          matmul_block(a, b, c, 0, m, static_cast<int>(j0),
+                       static_cast<int>(j1), k, n);
         });
       }
       return;
     }
   }
-  matmul_rows(a, b, c, 0, m, k, n);
+  matmul_block(a, b, c, 0, m, 0, n, k, n);
 }
 
 void matmul_bt(const float* a, const float* b, float* c, int m, int k, int n) {
@@ -341,18 +373,40 @@ void softmax_backward(const float* y, const float* dy, float* dx, int m,
   }
 }
 
-void rotary(float* x, int t, int dim, int rot_dim, int pos0) {
+RotaryTable rotary_table(int positions, int rot_dim) {
+  RotaryTable table;
+  table.positions = positions;
+  table.rot_dim = rot_dim;
   const int half = rot_dim / 2;
-  for (int i = 0; i < t; ++i) {
-    float* row = x + static_cast<std::size_t>(i) * dim;
-    const float pos = static_cast<float>(pos0 + i);
+  const std::size_t size = static_cast<std::size_t>(positions) * half;
+  table.cos.resize(size);
+  table.sin.resize(size);
+  for (int p = 0; p < positions; ++p) {
+    const float pos = static_cast<float>(p);
+    const std::size_t at = static_cast<std::size_t>(p) * half;
     for (int j = 0; j < half; ++j) {
       // GPT-NeoX / CodeGen style: channel pairs (j, j + half).
       float theta =
           pos * std::pow(10000.0f, -2.0f * static_cast<float>(j) /
                                         static_cast<float>(rot_dim));
-      float c = std::cos(theta);
-      float s = std::sin(theta);
+      table.cos[at + j] = std::cos(theta);
+      table.sin[at + j] = std::sin(theta);
+    }
+  }
+  return table;
+}
+
+void rotary(float* x, int t, int dim, const RotaryTable& table, int pos0) {
+  assert(pos0 >= 0 && pos0 + t <= table.positions);
+  const int half = table.rot_dim / 2;
+  for (int i = 0; i < t; ++i) {
+    float* row = x + static_cast<std::size_t>(i) * dim;
+    const std::size_t at = static_cast<std::size_t>(pos0 + i) * half;
+    const float* cos_row = table.cos.data() + at;
+    const float* sin_row = table.sin.data() + at;
+    for (int j = 0; j < half; ++j) {
+      float c = cos_row[j];
+      float s = sin_row[j];
       float a = row[j];
       float b = row[j + half];
       row[j] = a * c - b * s;
@@ -361,19 +415,20 @@ void rotary(float* x, int t, int dim, int rot_dim, int pos0) {
   }
 }
 
-void rotary_backward(float* dx, int t, int dim, int rot_dim, int pos0) {
+void rotary_backward(float* dx, int t, int dim, const RotaryTable& table,
+                     int pos0) {
   // The rotation is orthogonal; the gradient transforms by the inverse
   // (negative-angle) rotation.
-  const int half = rot_dim / 2;
+  assert(pos0 >= 0 && pos0 + t <= table.positions);
+  const int half = table.rot_dim / 2;
   for (int i = 0; i < t; ++i) {
     float* row = dx + static_cast<std::size_t>(i) * dim;
-    const float pos = static_cast<float>(pos0 + i);
+    const std::size_t at = static_cast<std::size_t>(pos0 + i) * half;
+    const float* cos_row = table.cos.data() + at;
+    const float* sin_row = table.sin.data() + at;
     for (int j = 0; j < half; ++j) {
-      float theta =
-          pos * std::pow(10000.0f, -2.0f * static_cast<float>(j) /
-                                        static_cast<float>(rot_dim));
-      float c = std::cos(theta);
-      float s = std::sin(theta);
+      float c = cos_row[j];
+      float s = sin_row[j];
       float a = row[j];
       float b = row[j + half];
       row[j] = a * c + b * s;

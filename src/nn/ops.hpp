@@ -57,11 +57,25 @@ void softmax(const float* x, float* y, int m, int n);
 void softmax_backward(const float* y, const float* dy, float* dx, int m,
                       int n);
 
-// Rotary position embedding over the first `rot_dim` channels of each
-// head-sized row (rot_dim even). x is [t x dim] for one head; position of
-// row i is pos0 + i. In-place rotation; backward is the inverse rotation.
-void rotary(float* x, int t, int dim, int rot_dim, int pos0);
-void rotary_backward(float* dx, int t, int dim, int rot_dim, int pos0);
+// Rotary position embedding angles, tabulated: cos and sin of every
+// (position, channel pair) angle for positions [0, positions) over
+// `rot_dim` channels (rot_dim even). The angles depend only on position,
+// so a model builds its table once per context window and every rotation
+// reads it.
+struct RotaryTable {
+  int positions = 0;
+  int rot_dim = 0;
+  std::vector<float> cos, sin;  // [positions x rot_dim/2]
+};
+RotaryTable rotary_table(int positions, int rot_dim);
+
+// Rotary position embedding over the first table.rot_dim channels of each
+// head-sized row. x is [t x dim] for one head; position of row i is
+// pos0 + i, and pos0 + t must not exceed table.positions. In-place
+// rotation; backward is the inverse rotation.
+void rotary(float* x, int t, int dim, const RotaryTable& table, int pos0);
+void rotary_backward(float* dx, int t, int dim, const RotaryTable& table,
+                     int pos0);
 
 // Fused softmax + cross-entropy over logits [rows x vocab] against integer
 // targets; targets equal to `ignore_index` contribute neither loss nor

@@ -237,6 +237,91 @@ TEST(DecodeStepBatch, MatchesSequentialAtAnyThreadCount) {
   wisdom::util::ThreadPool::set_global_threads(0);
 }
 
+// The rotary angle table covers positions [0, ctx), so widening the window
+// must rebuild it: a stale table would be read past its end once decoding
+// passes the old window.
+TEST(Transformer, WidenedContextWindowDecodesLikeNativeWindow) {
+  wm::ModelConfig narrow = wisdom::testutil::tiny_config();
+  narrow.ctx = 48;
+  wm::ModelConfig native = narrow;
+  native.ctx = 96;
+  wm::Transformer widened(narrow, 19);
+  widened.set_context_window(96);
+  wm::Transformer reference(native, 23);
+  const auto from = widened.parameters();
+  const auto to = reference.parameters();
+  ASSERT_EQ(from.size(), to.size());
+  for (std::size_t i = 0; i < from.size(); ++i) to[i]->w = from[i]->w;
+
+  wm::Transformer::KvCache a = widened.make_cache();
+  wm::Transformer::KvCache b = reference.make_cache();
+  Rng rng(25);
+  for (int i = 0; i < 96; ++i) {
+    const auto token = static_cast<std::int32_t>(
+        rng.uniform(static_cast<std::uint64_t>(native.vocab)));
+    const auto got = widened.decode_step(a, token);
+    const auto want = reference.decode_step(b, token);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)))
+        << "position " << i;
+  }
+}
+
+// Prefill runs the final layernorm and LM head only for the last kept
+// prompt token. The logits it leaves (the prompt snapshot's) must still be
+// exactly those of decode_step fed the kept prompt one token at a time,
+// from a cold cache and from a warm one covering part of the prompt.
+TEST(Transformer, PrefillLogitsMatchTokenByTokenDecode) {
+  const wm::ModelConfig cfg = wisdom::testutil::tiny_config();
+  const wm::Transformer model(cfg, 29);
+  Rng rng(31);
+  // Longer than the prompt budget, so the kept span is a proper suffix.
+  const std::vector<std::int32_t> prompt =
+      wisdom::testutil::random_prompt(rng, 45, 45, cfg.vocab);
+  const int budget = 8;
+  const auto kept = model.kept_prompt(prompt, budget);
+  ASSERT_LT(kept.size(), prompt.size());
+
+  wm::Transformer::KvCache reference = model.make_cache();
+  for (std::int32_t token : kept) model.decode_step(reference, token);
+  const int covered = static_cast<int>(kept.size()) / 2;
+
+  for (bool beam : {false, true}) {
+    for (bool warm : {false, true}) {
+      // KV rows of the first half of the kept prompt, without logits.
+      wm::Transformer::KvCache warm_cache = reference.clone(covered);
+      wm::Transformer::KvCache snapshot;
+      wm::Transformer::GenerateStatus status;
+      if (beam) {
+        wm::Transformer::BeamOptions options;
+        options.beam_width = 2;
+        options.max_new_tokens = budget;
+        options.status = &status;
+        options.prompt_snapshot = &snapshot;
+        if (warm) options.warm_cache = &warm_cache;
+        model.generate_beam(prompt, options);
+      } else {
+        wm::Transformer::GenerateOptions options;
+        options.max_new_tokens = budget;
+        options.status = &status;
+        options.prompt_snapshot = &snapshot;
+        if (warm) options.warm_cache = &warm_cache;
+        model.generate(prompt, options);
+      }
+      const char* label = beam ? (warm ? "beam warm" : "beam cold")
+                               : (warm ? "greedy warm" : "greedy cold");
+      EXPECT_EQ(status.prefill_tokens_reused, warm ? covered : 0) << label;
+      ASSERT_EQ(snapshot.length, static_cast<int>(kept.size())) << label;
+      ASSERT_EQ(snapshot.logits.size(), reference.logits.size()) << label;
+      EXPECT_EQ(0, std::memcmp(snapshot.logits.data(),
+                               reference.logits.data(),
+                               reference.logits.size() * sizeof(float)))
+          << label;
+    }
+  }
+}
+
 TEST(Transformer, KvCacheConsistentWithTrainingPath) {
   // The training forward and the decode path share kernels but different
   // code: verify they agree through the loss. Train until the model prefers

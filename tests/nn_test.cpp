@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "nn/adamw.hpp"
@@ -50,6 +52,80 @@ TEST(Ops, MatmulKnownValues) {
   EXPECT_FLOAT_EQ(c[1], 22);
   EXPECT_FLOAT_EQ(c[2], 43);
   EXPECT_FLOAT_EQ(c[3], 50);
+}
+
+// The row kernel splits the output columns into full blocks, one narrower
+// block (16, 32 or 48 wide) and a tail, but every element must be computed
+// the same way wherever it lands: zero, then one multiply-add per nonzero
+// a in ascending p. Exact zeros in A exercise the zero-skip.
+TEST(Ops, MatmulBlockPathsAgree) {
+  Rng rng(12);
+  auto sparse_row = [&](int k) {
+    nn::Vec a = random_vec(rng, static_cast<std::size_t>(k));
+    for (float& x : a)
+      if (rng.uniform(10) == 0) x = 0.0f;
+    return a;
+  };
+  auto same_bits = [](float x, float y) {
+    return std::memcmp(&x, &y, sizeof(float)) == 0;
+  };
+  for (int k : {1, 48, 192}) {
+    for (int n : {1, 15, 16, 17, 48, 63, 64, 65, 80, 96, 144, 192, 512}) {
+      const nn::Vec a = sparse_row(k);
+      const nn::Vec b = random_vec(rng, static_cast<std::size_t>(k) * n);
+      nn::Vec c(static_cast<std::size_t>(n));
+      nn::matmul(a.data(), b.data(), c.data(), 1, k, n);
+
+      // Each column equals the same column computed alone (n = 1).
+      nn::Vec col(static_cast<std::size_t>(k));
+      for (int j = 0; j < n; ++j) {
+        for (int p = 0; p < k; ++p)
+          col[static_cast<std::size_t>(p)] =
+              b[static_cast<std::size_t>(p) * n + j];
+        float alone = 0.0f;
+        nn::matmul(a.data(), col.data(), &alone, 1, k, 1);
+        EXPECT_TRUE(same_bits(c[static_cast<std::size_t>(j)], alone))
+            << "k " << k << " n " << n << " column " << j;
+      }
+
+      // Shifted right by `shift` leading columns, each column moves into a
+      // different block (full, narrow or tail) and must not change.
+      for (int shift : {1, 16, 49}) {
+        const int wide = n + shift;
+        nn::Vec bs = random_vec(rng, static_cast<std::size_t>(k) * wide);
+        for (int p = 0; p < k; ++p)
+          std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(p) * n, n,
+                      bs.begin() + static_cast<std::ptrdiff_t>(p) * wide +
+                          shift);
+        nn::Vec cs(static_cast<std::size_t>(wide));
+        nn::matmul(a.data(), bs.data(), cs.data(), 1, k, wide);
+        for (int j = 0; j < n; ++j)
+          EXPECT_TRUE(same_bits(cs[static_cast<std::size_t>(shift + j)],
+                                c[static_cast<std::size_t>(j)]))
+              << "k " << k << " n " << n << " shift " << shift
+              << " column " << j;
+      }
+
+      // An m-row product equals m single-row products.
+      const int m = 3;
+      nn::Vec am;
+      for (int i = 0; i < m; ++i) {
+        const nn::Vec row = sparse_row(k);
+        am.insert(am.end(), row.begin(), row.end());
+      }
+      nn::Vec cm(static_cast<std::size_t>(m) * n);
+      nn::matmul(am.data(), b.data(), cm.data(), m, k, n);
+      nn::Vec single(static_cast<std::size_t>(n));
+      for (int i = 0; i < m; ++i) {
+        nn::matmul(am.data() + static_cast<std::size_t>(i) * k, b.data(),
+                   single.data(), 1, k, n);
+        EXPECT_EQ(0, std::memcmp(single.data(),
+                                 cm.data() + static_cast<std::size_t>(i) * n,
+                                 single.size() * sizeof(float)))
+            << "k " << k << " n " << n << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(Ops, MatmulBtMatchesMatmul) {
@@ -244,7 +320,7 @@ TEST(Ops, RotaryPreservesNorm) {
   const int t = 4, dim = 8;
   nn::Vec x = random_vec(rng, t * dim);
   nn::Vec rotated = x;
-  nn::rotary(rotated.data(), t, dim, dim, 0);
+  nn::rotary(rotated.data(), t, dim, nn::rotary_table(t, dim), 0);
   for (int i = 0; i < t; ++i) {
     double n0 = 0, n1 = 0;
     for (int j = 0; j < dim; ++j) {
@@ -259,7 +335,7 @@ TEST(Ops, RotaryPositionZeroIsIdentity) {
   Rng rng(9);
   nn::Vec x = random_vec(rng, 8);
   nn::Vec r = x;
-  nn::rotary(r.data(), 1, 8, 8, 0);
+  nn::rotary(r.data(), 1, 8, nn::rotary_table(1, 8), 0);
   for (int i = 0; i < 8; ++i) EXPECT_NEAR(r[i], x[i], 1e-6);
 }
 
@@ -268,16 +344,18 @@ TEST(Ops, RotaryBackwardIsInverse) {
   const int t = 3, dim = 8;
   nn::Vec x = random_vec(rng, t * dim);
   nn::Vec y = x;
-  nn::rotary(y.data(), t, dim, dim, 5);
-  nn::rotary_backward(y.data(), t, dim, dim, 5);
+  const nn::RotaryTable table = nn::rotary_table(5 + t, dim);
+  nn::rotary(y.data(), t, dim, table, 5);
+  nn::rotary_backward(y.data(), t, dim, table, 5);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y[i], x[i], 1e-5);
 }
 
 TEST(Ops, RotaryDependsOnAbsolutePosition) {
   nn::Vec x = {1, 0, 0, 0};
   nn::Vec a = x, b = x;
-  nn::rotary(a.data(), 1, 4, 4, 1);
-  nn::rotary(b.data(), 1, 4, 4, 2);
+  const nn::RotaryTable table = nn::rotary_table(3, 4);
+  nn::rotary(a.data(), 1, 4, table, 1);
+  nn::rotary(b.data(), 1, 4, table, 2);
   bool differs = false;
   for (int i = 0; i < 4; ++i) differs |= std::abs(a[i] - b[i]) > 1e-6;
   EXPECT_TRUE(differs);
@@ -287,8 +365,31 @@ TEST(Ops, RotaryPartialDimLeavesTailUntouched) {
   Rng rng(11);
   nn::Vec x = random_vec(rng, 8);
   nn::Vec r = x;
-  nn::rotary(r.data(), 1, 8, 4, 3);
+  nn::rotary(r.data(), 1, 8, nn::rotary_table(4, 4), 3);
   for (int i = 4; i < 8; ++i) EXPECT_FLOAT_EQ(r[i], x[i]);
+}
+
+// The table holds cos/sin of theta = pos * 10000^(-2j / rot_dim) for
+// channel pair j, GPT-NeoX / CodeGen style. Positions stay small enough
+// that rounding theta itself to float stays well inside the tolerance.
+TEST(Ops, RotaryTableHoldsCosSinOfTheAngle) {
+  const int positions = 16, rot_dim = 12, half = rot_dim / 2;
+  const nn::RotaryTable table = nn::rotary_table(positions, rot_dim);
+  EXPECT_EQ(table.positions, positions);
+  EXPECT_EQ(table.rot_dim, rot_dim);
+  ASSERT_EQ(table.cos.size(), static_cast<std::size_t>(positions * half));
+  ASSERT_EQ(table.sin.size(), table.cos.size());
+  for (int p = 0; p < positions; ++p) {
+    for (int j = 0; j < half; ++j) {
+      const double theta =
+          p * std::pow(10000.0, -2.0 * j / static_cast<double>(rot_dim));
+      const std::size_t at = static_cast<std::size_t>(p * half + j);
+      EXPECT_NEAR(table.cos[at], std::cos(theta), 1e-6)
+          << "pos " << p << " pair " << j;
+      EXPECT_NEAR(table.sin[at], std::sin(theta), 1e-6)
+          << "pos " << p << " pair " << j;
+    }
+  }
 }
 
 // --- cross entropy -----------------------------------------------------------------

@@ -142,8 +142,12 @@ TEST(ThreadPool, EnvThreadsParsing) {
 TEST(ParallelOps, MatmulBitIdenticalAcrossThreadCounts) {
   ForceParallel force;
   // Odd shapes: m and n not divisible by any pool size under test; m == 1
-  // exercises the column-sharded decode path.
-  const int shapes[][3] = {{7, 5, 9}, {1, 48, 65}, {13, 24, 7}, {3, 1, 11}};
+  // exercises the column-sharded path, whose shards split the row kernel's
+  // column blocks at arbitrary points (the served model's QKV, MLP
+  // down-projection and LM-head shapes among them).
+  const int shapes[][3] = {{7, 5, 9},    {1, 48, 65},  {13, 24, 7},
+                           {3, 1, 11},   {1, 48, 144}, {1, 192, 48},
+                           {1, 48, 512}};
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
     auto a = random_vec(static_cast<std::size_t>(m) * k, 11);
