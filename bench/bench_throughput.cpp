@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "text/bpe.hpp"
+#include "util/percentile.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -48,6 +49,36 @@ model::SizeClass size_from_index(int index) {
 
 std::string label_with_threads(model::SizeClass size, int threads) {
   return model::size_label(size) + "/t" + std::to_string(threads);
+}
+
+// A counter or gauge from the service's metrics registry.
+double service_metric(const serve::InferenceService& service,
+                      const char* name) {
+  const wisdom::obs::MetricsRegistry& registry = service.metrics();
+  if (const wisdom::obs::Counter* counter = registry.find_counter(name))
+    return static_cast<double>(counter->value());
+  return registry.find_gauge(name)->value();
+}
+
+// Generated tokens per second of service-side wall time: a batch books
+// its wall time once, so this reflects batching throughput.
+double tokens_per_sec(const serve::InferenceService& service) {
+  const double wall_ms = service_metric(service, "wisdom_serve_wall_ms");
+  return wall_ms <= 0.0
+             ? 0.0
+             : service_metric(service, "wisdom_serve_generated_tokens_total") /
+                   (wall_ms / 1e3);
+}
+
+// Appends the latency of every response the service answered; a
+// reject-newest refusal was never served, so it has no latency sample.
+void collect_latencies(const std::vector<serve::SuggestionResponse>& responses,
+                       std::vector<double>* latencies_ms) {
+  for (const serve::SuggestionResponse& response : responses) {
+    if (response.error == serve::ServiceError::Overloaded && !response.degraded)
+      continue;
+    latencies_ms->push_back(response.latency_ms);
+  }
 }
 
 void BM_GreedyDecode(benchmark::State& state) {
@@ -178,9 +209,11 @@ void BM_BatchedSuggest(benchmark::State& state) {
   for (auto& r : requests) r.prompt = "Install nginx";
 
   std::vector<serve::SuggestionResponse> responses;
+  std::vector<double> latencies_ms;
   for (auto _ : state) {
     responses = service.suggest_batch(requests);
     benchmark::DoNotOptimize(responses.data());
+    collect_latencies(responses, &latencies_ms);
   }
   if (dump_path) {
     // Concatenated served snippets form one task-list document (each
@@ -195,9 +228,9 @@ void BM_BatchedSuggest(benchmark::State& state) {
       std::fclose(dump);
     }
   }
-  const serve::ServiceStats stats = service.stats_snapshot();
-  state.counters["tokens/s"] = stats.tokens_per_sec();
-  state.counters["p95_ms"] = stats.p95_latency_ms();
+  state.counters["tokens/s"] = tokens_per_sec(service);
+  state.counters["p95_ms"] =
+      wisdom::util::nearest_rank_percentile(latencies_ms, 95.0);
   state.SetLabel("b" + std::to_string(batch) + "/t" +
                  std::to_string(threads));
   g_last_service_exposition = service.metrics().expose_prometheus();
@@ -241,15 +274,25 @@ void BM_OverloadSweep(benchmark::State& state) {
       static_cast<std::size_t>(kCapacity * multiplier));
   for (auto& r : requests) r.prompt = "Install nginx";
 
+  std::vector<double> latencies_ms;
   for (auto _ : state) {
     auto responses = service.suggest_batch(requests);
     benchmark::DoNotOptimize(responses.data());
+    collect_latencies(responses, &latencies_ms);
   }
-  const serve::ServiceStats stats = service.stats_snapshot();
-  state.counters["shed_rate"] = stats.shed_rate();
-  state.counters["degraded_rate"] = stats.degraded_rate();
-  state.counters["p99_ms"] = stats.p99_latency_ms();
-  state.counters["tokens/s"] = stats.tokens_per_sec();
+  const double offered = service_metric(service, "wisdom_serve_offered_total");
+  const double served = service_metric(service, "wisdom_serve_requests_total");
+  state.counters["shed_rate"] =
+      offered == 0.0
+          ? 0.0
+          : service_metric(service, "wisdom_serve_shed_total") / offered;
+  state.counters["degraded_rate"] =
+      served == 0.0
+          ? 0.0
+          : service_metric(service, "wisdom_serve_degraded_total") / served;
+  state.counters["p99_ms"] =
+      wisdom::util::nearest_rank_percentile(latencies_ms, 99.0);
+  state.counters["tokens/s"] = tokens_per_sec(service);
   state.SetLabel("offered=" + std::to_string(kCapacity * multiplier) +
                  "/cap=" + std::to_string(kCapacity) + "/t" +
                  std::to_string(threads));

@@ -16,6 +16,7 @@
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "util/log.hpp"
@@ -93,14 +94,25 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- final playbook ---\n%s", buffer.c_str());
-  const serve::ServiceStats& stats = service.stats();
+  const obs::MetricsRegistry& metrics = service.metrics();
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(metrics.find_counter(name)->value());
+  };
+  const unsigned long long accepted = count("wisdom_serve_accepted_total");
+  const unsigned long long rejected = count("wisdom_serve_rejected_total");
+  const obs::Histogram& latency =
+      *metrics.find_histogram("wisdom_serve_request_ms");
   std::printf(
       "\n--- session stats ---\nrequests: %llu  accepted: %llu  rejected: "
       "%llu  acceptance: %.0f%%  mean latency: %.1f ms\n",
-      static_cast<unsigned long long>(stats.requests),
-      static_cast<unsigned long long>(stats.accepted),
-      static_cast<unsigned long long>(stats.rejected),
-      100.0 * stats.acceptance_rate(), stats.mean_latency_ms());
+      count("wisdom_serve_requests_total"), accepted, rejected,
+      accepted + rejected == 0
+          ? 0.0
+          : 100.0 * static_cast<double>(accepted) /
+                static_cast<double>(accepted + rejected),
+      latency.count() == 0
+          ? 0.0
+          : latency.sum() / static_cast<double>(latency.count()));
   const serve::PrefixCacheStats prefix = service.prefix_cache_stats();
   const serve::ResponseCacheStats memo = service.response_cache_stats();
   std::printf(

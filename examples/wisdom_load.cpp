@@ -18,10 +18,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +30,7 @@
 
 #include "net/event_loop.hpp"
 #include "serve/wire.hpp"
+#include "util/percentile.hpp"
 
 using namespace wisdom;
 
@@ -61,14 +60,6 @@ struct Stats {
   std::map<int, int> by_status;
   std::vector<double> latencies_ms;
 };
-
-double percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1];
-}
 
 // One keep-alive connection driving sequential requests.
 struct Conn {
@@ -106,7 +97,6 @@ class LoadDriver {
          ++i)
       open_connection();
     if (!conns_.empty()) loop_.run();
-    std::sort(stats_.latencies_ms.begin(), stats_.latencies_ms.end());
     return stats_;
   }
 
@@ -361,10 +351,10 @@ int main(int argc, char** argv) {
               stats.connect_errors, stats.protocol_errors, stats.disconnects);
   if (!stats.latencies_ms.empty()) {
     std::printf("latency ms (200s): p50 %.1f  p95 %.1f  p99 %.1f  max %.1f\n",
-                percentile(stats.latencies_ms, 50.0),
-                percentile(stats.latencies_ms, 95.0),
-                percentile(stats.latencies_ms, 99.0),
-                stats.latencies_ms.back());
+                util::nearest_rank_percentile(stats.latencies_ms, 50.0),
+                util::nearest_rank_percentile(stats.latencies_ms, 95.0),
+                util::nearest_rank_percentile(stats.latencies_ms, 99.0),
+                util::nearest_rank_percentile(stats.latencies_ms, 100.0));
   }
   bool clean = stats.connect_errors == 0 && stats.protocol_errors == 0 &&
                stats.disconnects == 0 && stats.completed == stats.sent;

@@ -13,6 +13,7 @@
 // SIGINT/SIGTERM drain gracefully: healthz flips to 503, in-flight
 // requests (streams included) run to completion, the final metrics flush
 // is printed, and the process exits 0.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -138,9 +139,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--host") server_options.host = next_value(i);
-    else if (arg == "--port")
-      server_options.port = static_cast<std::uint16_t>(std::atoi(next_value(i)));
-    else if (arg == "--workers")
+    else if (arg == "--port") {
+      // A whole number in [0, 65535]; anything else would wrap into some
+      // other port instead of failing.
+      const char* value = next_value(i);
+      const char* end = value + std::strlen(value);
+      int port = -1;
+      auto parsed = std::from_chars(value, end, port);
+      if (parsed.ec != std::errc() || parsed.ptr != end || port < 0 ||
+          port > 65535)
+        return usage(argv[0]);
+      server_options.port = static_cast<std::uint16_t>(port);
+    } else if (arg == "--workers")
       server_options.worker_threads = std::atoi(next_value(i));
     else if (arg == "--threads") threads = std::atoi(next_value(i));
     else if (arg == "--tiny") tiny = true;

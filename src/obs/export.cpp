@@ -1,8 +1,7 @@
-// Exposition formats for MetricsRegistry: Prometheus text and JSON.
+// Prometheus text exposition for MetricsRegistry.
 //
-// Both walk the same sorted metric map under the registry mutex, so the
-// two exports of one quiesced registry carry identical values and the
-// output ordering is deterministic (golden-stable in tests).
+// Walks the sorted metric map under the registry mutex, so the output
+// ordering is deterministic (golden-stable in tests).
 #include <cinttypes>
 #include <cstdio>
 
@@ -68,46 +67,6 @@ std::string MetricsRegistry::expose_prometheus() const {
     }
   }
   return out;
-}
-
-std::string MetricsRegistry::expose_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string counters, gauges, histograms;
-  for (const auto& [name, entry] : metrics_) {
-    switch (entry.kind) {
-      case Kind::Counter:
-        if (!counters.empty()) counters += ", ";
-        counters += "\"" + name + "\": " +
-                    format_u64(entry.counter->value());
-        break;
-      case Kind::Gauge:
-        if (!gauges.empty()) gauges += ", ";
-        gauges += "\"" + name + "\": " +
-                  format_double(entry.gauge->value());
-        break;
-      case Kind::Histogram: {
-        const Histogram& h = *entry.histogram;
-        if (!histograms.empty()) histograms += ", ";
-        std::string buckets;
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          cumulative += h.bucket_value(i);
-          if (!buckets.empty()) buckets += ", ";
-          buckets += "[" + format_double(h.bounds()[i]) + ", " +
-                     format_u64(cumulative) + "]";
-        }
-        cumulative += h.bucket_value(h.bounds().size());
-        if (!buckets.empty()) buckets += ", ";
-        buckets += "[\"+Inf\", " + format_u64(cumulative) + "]";
-        histograms += "\"" + name + "\": {\"buckets\": [" + buckets +
-                      "], \"sum\": " + format_double(h.sum()) +
-                      ", \"count\": " + format_u64(h.count()) + "}";
-        break;
-      }
-    }
-  }
-  return "{\"counters\": {" + counters + "}, \"gauges\": {" + gauges +
-         "}, \"histograms\": {" + histograms + "}}";
 }
 
 }  // namespace wisdom::obs

@@ -12,8 +12,8 @@
 //     binary search plus two relaxed atomic adds.
 //   * reset() zeroes values but never unregisters — cached references
 //     stay valid across test cases and benchmark repetitions.
-//   * Exposition: Prometheus text format and a JSON export, both with
-//     deterministic (sorted-by-name) ordering so output is golden-stable.
+//   * Exposition: Prometheus text format with deterministic
+//     (sorted-by-name) ordering, so output is golden-stable.
 #pragma once
 
 #include <atomic>
@@ -84,9 +84,10 @@ class Histogram {
 
   // Nearest-rank percentile estimate, p in (0, 100]: the upper bound of
   // the bucket holding the sample at rank ceil(p/100 * count). For
-  // samples that sit exactly on bucket bounds this equals the legacy
-  // exact nearest-rank over the raw values. Rank in the +Inf bucket (or
-  // an empty histogram) reports the largest finite bound (0 if none).
+  // samples that sit exactly on bucket bounds this equals
+  // util::nearest_rank_percentile over the raw values. Rank in the +Inf
+  // bucket (or an empty histogram) reports the largest finite bound (0 if
+  // none).
   double percentile(double p) const;
 
   void reset();
@@ -130,9 +131,6 @@ class MetricsRegistry {
 
   // Prometheus text exposition format, metrics sorted by name.
   std::string expose_prometheus() const;
-  // {"counters": {...}, "gauges": {...}, "histograms": {...}}, keys
-  // sorted; carries the same values as the Prometheus exposition.
-  std::string expose_json() const;
 
   // Process-wide registry used by the library's built-in instrumentation
   // (thread pool, model decode, trainer, pipeline).

@@ -10,11 +10,11 @@
 //     set_enabled(false), turns instrumentation off for the process; the
 //     check is a single relaxed atomic load on the hot path.
 //
-// Pure counter bumps that back ServiceStats are NOT gated — they are the
-// stats data model, cost one relaxed fetch_add, and predate this layer.
-// The switch exists for the clock-reading instrumentation (histograms of
-// stage/task latency, trace spans), which is what can show up in a
-// profile.
+// Pure counter bumps (wisdom_serve_requests_total and the rest of the
+// serving ledger) are NOT gated — they are the service's counts, not
+// instrumentation, and cost one relaxed fetch_add. The switch exists for
+// the clock-reading instrumentation (histograms of stage/task latency,
+// trace spans), which is what can show up in a profile.
 #pragma once
 
 #include <atomic>

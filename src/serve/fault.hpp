@@ -1,6 +1,6 @@
 // Deterministic fault injection for the serving path.
 //
-// Robustness behavior (deadline fallback, load shedding, retry, circuit
+// Robustness behavior (deadline fallback, load shedding, circuit
 // breaking) is miserable to test with real timing: a "slow decode"
 // produced by sleeping is flaky and slow, and a genuinely full queue needs
 // racing threads. The FaultInjector instead forces each degraded path to

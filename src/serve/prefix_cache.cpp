@@ -114,18 +114,6 @@ void PrefixKvCache::evict_to_budget() {
   }
 }
 
-void PrefixKvCache::expire_stale() {
-  if (options_.ttl_lookups == 0) return;
-  // The LRU tail is the least recently used entry, so ticks are
-  // monotonically non-increasing toward the back: sweep from there.
-  while (!lru_.empty() &&
-         tick_ - lru_.back()->tick > options_.ttl_lookups) {
-    remove_entry(lru_.back());
-    ++stats_.expirations;
-    if (hooks_.expirations) hooks_.expirations->inc();
-  }
-}
-
 void PrefixKvCache::update_gauges() {
   stats_.bytes = bytes_;
   stats_.entries = lru_.size();
@@ -139,7 +127,6 @@ std::optional<PrefixKvCache::Hit> PrefixKvCache::lookup(
   std::lock_guard<std::mutex> lock(mu_);
   ++tick_;
   ++stats_.lookups;
-  expire_stale();
 
   // Walk as deep as the trie shares tokens with the request, remembering
   // the deepest snapshot sitting on the walked path (its KV rows AND
@@ -219,7 +206,6 @@ PrefixKvCache::InsertOutcome PrefixKvCache::insert(
     model::Transformer::KvCache snapshot) {
   assert(snapshot.length == static_cast<int>(tokens.size()));
   std::lock_guard<std::mutex> lock(mu_);
-  expire_stale();
   if (tokens.empty() ||
       snapshot.length != static_cast<int>(tokens.size())) {
     ++stats_.rejected;

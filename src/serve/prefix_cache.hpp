@@ -16,11 +16,10 @@
 // serving rows from the cache is bit-identical to recomputing them —
 // cached and uncached generation produce the same bytes.
 //
-// Bounds: a byte budget with LRU eviction, and an optional TTL measured in
-// lookups (a request count, not wall time — deterministic under test).
-// Entries are keyed on token ids, so the cache MUST be clear()ed whenever
-// the model weights, tokenizer, or context window change (e.g. on
-// checkpoint reload); InferenceService::invalidate_caches() does this.
+// Bounds: a byte budget with LRU eviction. Entries are keyed on token
+// ids, so the cache MUST be clear()ed whenever the model weights,
+// tokenizer, or context window change (e.g. on checkpoint reload);
+// InferenceService::invalidate_caches() does this.
 //
 // Thread-safe: one mutex; clones happen under it (a clone is a bounded
 // memcpy, cheap next to the prefill it saves).
@@ -45,15 +44,12 @@ struct PrefixCacheOptions {
   // Inserts that would exceed it evict least-recently-used entries first;
   // a snapshot larger than the whole budget is rejected outright.
   std::size_t byte_budget = 32ull << 20;
-  // Entries untouched for more than this many lookups expire; 0 disables
-  // the TTL.
-  std::uint64_t ttl_lookups = 0;
 };
 
 // Monotone totals; bytes/entries are point-in-time. Identities that always
 // hold (the eviction test asserts them exactly):
 //   hits + misses == lookups
-//   entries == stored - evictions - expirations - cleared
+//   entries == stored - evictions - cleared
 struct PrefixCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
@@ -62,7 +58,6 @@ struct PrefixCacheStats {
   std::uint64_t refreshed = 0;    // inserts that touched an existing entry
   std::uint64_t rejected = 0;     // inserts larger than the whole budget
   std::uint64_t evictions = 0;    // LRU removals to honor the byte budget
-  std::uint64_t expirations = 0;  // TTL removals
   std::uint64_t cleared = 0;      // entries dropped by clear()
   std::uint64_t tokens_reused = 0;  // prefill tokens served from cache
   std::size_t bytes = 0;
@@ -83,7 +78,6 @@ class PrefixKvCache {
     obs::Counter* misses = nullptr;
     obs::Counter* stored = nullptr;
     obs::Counter* evictions = nullptr;
-    obs::Counter* expirations = nullptr;
     obs::Counter* tokens_reused = nullptr;
     obs::Gauge* bytes = nullptr;
     obs::Gauge* entries = nullptr;
@@ -108,8 +102,8 @@ class PrefixKvCache {
   };
 
   // Best reusable snapshot for this token sequence, or nullopt when no
-  // cached prefix shares at least one token. Counts one lookup (the TTL
-  // tick) and refreshes the used entry's LRU position.
+  // cached prefix shares at least one token. Counts one lookup and
+  // refreshes the used entry's LRU position.
   std::optional<Hit> lookup(std::span<const std::int32_t> tokens);
 
   // Stores a snapshot for this exact token sequence. The snapshot must
@@ -158,7 +152,6 @@ class PrefixKvCache {
   static Node* split(Node* node, std::size_t keep);
   void remove_entry(Entry* entry);  // + prunes and re-compresses the path
   void evict_to_budget();
-  void expire_stale();
   void update_gauges();
 
   PrefixCacheOptions options_;

@@ -14,14 +14,13 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 
 namespace wisdom::serve {
 
 // What to do with a request the queue cannot admit.
 enum class ShedPolicy {
-  // Refuse it outright with ServiceError::Overloaded (default). The retry
-  // client's backoff is the intended recovery path.
+  // Refuse it outright with ServiceError::Overloaded (default); the
+  // client recovers by retrying after a backoff.
   RejectNewest,
   // Serve it from the deterministic fallback suggester instead of the
   // model: every caller still gets a schema-checked snippet, tagged
@@ -42,17 +41,13 @@ class AdmissionQueue {
   int in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
-  std::uint64_t shed_count() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
 
-  // Claims a slot; false (and one shed recorded) when the queue is full.
+  // Claims a slot; false when the queue is full.
   bool try_acquire() {
     if (!bounded()) return true;
     int n = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n <= capacity_) return true;
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -64,7 +59,6 @@ class AdmissionQueue {
  private:
   int capacity_;
   std::atomic<int> in_flight_{0};
-  std::atomic<std::uint64_t> shed_{0};
 };
 
 }  // namespace wisdom::serve

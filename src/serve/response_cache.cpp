@@ -31,16 +31,6 @@ void ResponseCache::remove_entry(EntryList::iterator it) {
   lru_.erase(it);
 }
 
-void ResponseCache::expire_stale() {
-  if (options_.ttl_lookups == 0) return;
-  while (!lru_.empty() &&
-         tick_ - std::prev(lru_.end())->tick > options_.ttl_lookups) {
-    remove_entry(std::prev(lru_.end()));
-    ++stats_.expirations;
-    if (hooks_.expirations) hooks_.expirations->inc();
-  }
-}
-
 void ResponseCache::update_gauges() {
   stats_.bytes = bytes_;
   stats_.entries = lru_.size();
@@ -50,9 +40,7 @@ void ResponseCache::update_gauges() {
 
 std::optional<SuggestionResponse> ResponseCache::lookup(const Key& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++tick_;
   ++stats_.lookups;
-  expire_stale();
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
@@ -60,7 +48,6 @@ std::optional<SuggestionResponse> ResponseCache::lookup(const Key& key) {
     return std::nullopt;
   }
   EntryList::iterator entry = it->second;
-  entry->tick = tick_;
   lru_.splice(lru_.begin(), lru_, entry);
   ++stats_.hits;
   if (hooks_.hits) hooks_.hits->inc();
@@ -77,12 +64,10 @@ void ResponseCache::insert(const Key& key,
       response.error != ServiceError::None)
     return;
   std::lock_guard<std::mutex> lock(mu_);
-  expire_stale();
   auto it = index_.find(key);
   if (it != index_.end()) {
     // Deterministic decode: an exact repeat produced the same bytes, so
     // only the LRU position is news.
-    it->second->tick = tick_;
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_.refreshed;
     update_gauges();
@@ -98,7 +83,6 @@ void ResponseCache::insert(const Key& key,
   entry.response.server_timing_ms.clear();
   entry.response.cached = false;
   entry.bytes = entry_bytes(key, response);
-  entry.tick = tick_;
   lru_.push_front(std::move(entry));
   index_[key] = lru_.begin();
   bytes_ += lru_.front().bytes;

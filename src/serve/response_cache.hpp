@@ -8,11 +8,10 @@
 // byte-for-byte. Degraded and fallback responses are never stored — they
 // depend on deadlines and fault state, not just the key.
 //
-// Bounds: an entry-count cap with LRU eviction and the same
-// TTL-by-lookup-count as the prefix cache. Keyed on the literal request
-// fields plus the option fields that shape the output, so a service
-// reconfiguration cannot alias entries; still, clear() on checkpoint
-// reload is mandatory (the model behind the memo changed).
+// Bounds: an entry-count cap with LRU eviction. Keyed on the literal
+// request fields plus the option fields that shape the output, so a
+// service reconfiguration cannot alias entries; still, clear() on
+// checkpoint reload is mandatory (the model behind the memo changed).
 #pragma once
 
 #include <cstddef>
@@ -30,13 +29,11 @@ namespace wisdom::serve {
 
 struct ResponseCacheOptions {
   std::size_t max_entries = 256;
-  // Entries untouched for more than this many lookups expire; 0 disables.
-  std::uint64_t ttl_lookups = 0;
 };
 
 // Same identities as PrefixCacheStats:
 //   hits + misses == lookups
-//   entries == stored - evictions - expirations - cleared
+//   entries == stored - evictions - cleared
 struct ResponseCacheStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
@@ -44,7 +41,6 @@ struct ResponseCacheStats {
   std::uint64_t stored = 0;
   std::uint64_t refreshed = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t expirations = 0;
   std::uint64_t cleared = 0;
   std::size_t bytes = 0;  // approximate: key + snippet payloads
   std::size_t entries = 0;
@@ -74,7 +70,6 @@ class ResponseCache {
     obs::Counter* misses = nullptr;
     obs::Counter* stored = nullptr;
     obs::Counter* evictions = nullptr;
-    obs::Counter* expirations = nullptr;
     obs::Gauge* entries = nullptr;
   };
 
@@ -84,7 +79,7 @@ class ResponseCache {
 
   // The memoized response, with `cached` already set. Per-request fields
   // (latency, trace id, server timing) are zeroed — the caller stamps its
-  // own. Counts one lookup (the TTL tick).
+  // own. Counts one lookup.
   std::optional<SuggestionResponse> lookup(const Key& key);
 
   // Stores a response. The caller must only pass non-degraded, successful
@@ -99,12 +94,10 @@ class ResponseCache {
     Key key;
     SuggestionResponse response;
     std::size_t bytes = 0;
-    std::uint64_t tick = 0;
   };
   using EntryList = std::list<Entry>;
 
   void remove_entry(EntryList::iterator it);
-  void expire_stale();
   void update_gauges();
 
   ResponseCacheOptions options_;
@@ -112,7 +105,6 @@ class ResponseCache {
   mutable std::mutex mu_;
   EntryList lru_;  // front = most recently used
   std::map<Key, EntryList::iterator> index_;
-  std::uint64_t tick_ = 0;
   std::size_t bytes_ = 0;
   ResponseCacheStats stats_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <span>
 
 #include "analysis/rules.hpp"
@@ -50,27 +49,6 @@ bool service_error_from_name(std::string_view name, ServiceError* out) {
     }
   }
   return false;
-}
-
-bool is_transient(ServiceError error) {
-  // Overloaded clears when the queue drains; CircuitOpen clears when the
-  // breaker's cooldown elapses and probes succeed. Draining never clears —
-  // the service is going away, so clients must fail over, not retry.
-  return error == ServiceError::Overloaded ||
-         error == ServiceError::CircuitOpen;
-}
-
-double ServiceStats::percentile_latency_ms(double p) const {
-  if (latencies_ms.empty()) return 0.0;
-  std::vector<double> sorted = latencies_ms;
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank: the smallest value with at least p% of samples at or
-  // below it.
-  const double clamped = std::min(std::max(p, 0.0), 100.0);
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1];
 }
 
 InferenceService::InferenceService(const model::Transformer& model,
@@ -168,9 +146,6 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.cache_prefix_evictions = &registry_.counter(
       "wisdom_cache_prefix_evictions_total",
       "Prefix-cache entries evicted to honor the byte budget.");
-  h_.cache_prefix_expired = &registry_.counter(
-      "wisdom_cache_prefix_expired_total",
-      "Prefix-cache entries expired by the lookup-count TTL.");
   h_.cache_prefill_tokens_saved = &registry_.counter(
       "wisdom_cache_prefill_tokens_saved_total",
       "Prompt tokens whose prefill was served from cached KV rows.");
@@ -195,9 +170,6 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.cache_response_evictions = &registry_.counter(
       "wisdom_cache_response_evictions_total",
       "Memo entries evicted past the entry cap.");
-  h_.cache_response_expired = &registry_.counter(
-      "wisdom_cache_response_expired_total",
-      "Memo entries expired by the lookup-count TTL.");
   h_.cache_response_entries = &registry_.gauge(
       "wisdom_cache_response_entries",
       "Responses currently memoized.");
@@ -247,14 +219,12 @@ InferenceService::InferenceService(const model::Transformer& model,
   if (options_.prefix_cache_enabled) {
     PrefixCacheOptions cache_options;
     cache_options.byte_budget = options_.prefix_cache_bytes;
-    cache_options.ttl_lookups = options_.cache_ttl_requests;
     prefix_cache_ = std::make_unique<PrefixKvCache>(cache_options);
     PrefixKvCache::MetricHooks hooks;
     hooks.hits = h_.cache_prefix_hits;
     hooks.misses = h_.cache_prefix_misses;
     hooks.stored = h_.cache_prefix_inserts;
     hooks.evictions = h_.cache_prefix_evictions;
-    hooks.expirations = h_.cache_prefix_expired;
     hooks.tokens_reused = h_.cache_prefill_tokens_saved;
     hooks.bytes = h_.cache_prefix_bytes;
     hooks.entries = h_.cache_prefix_entries;
@@ -264,14 +234,12 @@ InferenceService::InferenceService(const model::Transformer& model,
   if (options_.response_cache_enabled) {
     ResponseCacheOptions cache_options;
     cache_options.max_entries = options_.response_cache_entries;
-    cache_options.ttl_lookups = options_.cache_ttl_requests;
     response_cache_ = std::make_unique<ResponseCache>(cache_options);
     ResponseCache::MetricHooks hooks;
     hooks.hits = h_.cache_response_hits;
     hooks.misses = h_.cache_response_misses;
     hooks.stored = h_.cache_response_inserts;
     hooks.evictions = h_.cache_response_evictions;
-    hooks.expirations = h_.cache_response_expired;
     hooks.entries = h_.cache_response_entries;
     response_cache_->bind_metrics(hooks);
   }
@@ -703,8 +671,6 @@ void InferenceService::record_response(const SuggestionResponse& response) {
   if (response.degraded) h_.degraded->inc();
   if (response.error == ServiceError::DeadlineExceeded)
     h_.deadline_expired->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  latencies_ms_.push_back(response.latency_ms);
 }
 
 bool InferenceService::enter_serving() {
@@ -912,33 +878,5 @@ void InferenceService::invalidate_caches() {
 void InferenceService::record_accept() { h_.accepted->inc(); }
 
 void InferenceService::record_reject() { h_.rejected->inc(); }
-
-void InferenceService::refresh_stats_locked() const {
-  stats_.offered = h_.offered->value();
-  stats_.requests = h_.requests->value();
-  stats_.shed = h_.shed->value();
-  stats_.degraded = h_.degraded->value();
-  stats_.deadline_expired = h_.deadline_expired->value();
-  stats_.accepted = h_.accepted->value();
-  stats_.rejected = h_.rejected->value();
-  stats_.generated_tokens = h_.generated_tokens->value();
-  stats_.short_circuited = h_.breaker_short_circuit->value();
-  stats_.drain_rejected = h_.drain_rejected->value();
-  stats_.total_latency_ms = h_.request_ms->sum();
-  stats_.total_wall_ms = h_.wall_ms->value();
-  stats_.latencies_ms = latencies_ms_;
-}
-
-const ServiceStats& InferenceService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  refresh_stats_locked();
-  return stats_;
-}
-
-ServiceStats InferenceService::stats_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  refresh_stats_locked();
-  return stats_;
-}
 
 }  // namespace wisdom::serve

@@ -23,13 +23,13 @@
 //     deterministically.
 //
 // Observability: the service owns an obs::MetricsRegistry (counters,
-// request-latency and per-stage histograms — exportable as Prometheus
-// text or JSON via metrics()), and every request is traced: admission →
-// cache → tokenize → generate (prefill + per-token decode) → postprocess
-// → fallback spans land in the request's obs::Trace (attach a sink via
-// SuggestionRequest::trace to keep it) and the per-stage totals come back
-// in SuggestionResponse::server_timing_ms. ServiceStats is a snapshot
-// view derived from the registry; the accessors are unchanged.
+// request-latency and per-stage histograms, exposed as Prometheus text
+// via metrics()), which is its one ledger: every count the service keeps
+// lives there, and nothing about a request outlives its response. Every
+// request is traced: admission → cache → tokenize → generate (prefill +
+// per-token decode) → postprocess → fallback spans land in the request's
+// obs::Trace (attach a sink via SuggestionRequest::trace to keep it) and
+// the per-stage totals come back in SuggestionResponse::server_timing_ms.
 //
 // Caching: two optional levels sit in front of generation (both off by
 // default, preserving the exact seed behaviour).
@@ -105,9 +105,6 @@ struct ServiceOptions {
   bool response_cache_enabled = false;
   // Entry cap for the response memo (LRU past it).
   std::size_t response_cache_entries = 256;
-  // TTL for both caches, measured in cache lookups (a request count, not
-  // wall time — deterministic under test); 0 disables expiry.
-  std::uint64_t cache_ttl_requests = 0;
   // --- overload resilience ------------------------------------------------
   // Admission circuit breaker: past a rolling-window failure-rate
   // threshold, arrivals short-circuit to the deterministic fallback with
@@ -116,67 +113,6 @@ struct ServiceOptions {
   // by default (seed behaviour preserved exactly).
   bool breaker_enabled = false;
   BreakerOptions breaker;
-};
-
-// Snapshot of the service's counters, derived from its metrics registry.
-// The derived quantities (percentiles, rates, throughput) keep their
-// pre-registry signatures, so existing callers compile unchanged.
-struct ServiceStats {
-  // Every arrival, admitted or shed.
-  std::uint64_t offered = 0;
-  // Responses produced (admitted + degraded-shed); latencies below cover
-  // exactly these.
-  std::uint64_t requests = 0;
-  // Arrivals refused admission by the bounded queue (both shed policies).
-  std::uint64_t shed = 0;
-  // Responses served by the fallback path.
-  std::uint64_t degraded = 0;
-  // Requests whose decode hit its deadline.
-  std::uint64_t deadline_expired = 0;
-  // Arrivals answered from the fallback by the open circuit breaker.
-  std::uint64_t short_circuited = 0;
-  // Arrivals refused because the service was draining or stopped.
-  std::uint64_t drain_rejected = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t generated_tokens = 0;
-  // Sum of per-request latencies; with batching this exceeds wall time.
-  double total_latency_ms = 0.0;
-  // Service-side wall time: a batch contributes its elapsed time once,
-  // which is what makes tokens_per_sec() reflect batching throughput.
-  double total_wall_ms = 0.0;
-  // Per-request latencies, in arrival order, for the percentile report.
-  std::vector<double> latencies_ms;
-
-  double mean_latency_ms() const {
-    return requests == 0 ? 0.0 : total_latency_ms / static_cast<double>(requests);
-  }
-  // Nearest-rank percentile of per-request latency, p in (0, 100].
-  double percentile_latency_ms(double p) const;
-  double p50_latency_ms() const { return percentile_latency_ms(50.0); }
-  double p95_latency_ms() const { return percentile_latency_ms(95.0); }
-  double p99_latency_ms() const { return percentile_latency_ms(99.0); }
-  double tokens_per_sec() const {
-    return total_wall_ms <= 0.0
-               ? 0.0
-               : static_cast<double>(generated_tokens) / (total_wall_ms / 1e3);
-  }
-  double shed_rate() const {
-    return offered == 0 ? 0.0
-                        : static_cast<double>(shed) /
-                              static_cast<double>(offered);
-  }
-  double degraded_rate() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(degraded) /
-                               static_cast<double>(requests);
-  }
-  double acceptance_rate() const {
-    std::uint64_t decided = accepted + rejected;
-    return decided == 0 ? 0.0
-                        : static_cast<double>(accepted) /
-                              static_cast<double>(decided);
-  }
 };
 
 class InferenceService {
@@ -222,8 +158,8 @@ class InferenceService {
   // exactly (greedy decoding, shared read-only model). Admission is
   // decided in arrival order before any serving (reject-newest: with
   // capacity C and an otherwise idle service, the first C requests are
-  // admitted and the rest shed — deterministically). Stats count each
-  // request individually but the batch's wall time once.
+  // admitted and the rest shed — deterministically). The metrics count
+  // each request individually but the batch's wall time once.
   std::vector<SuggestionResponse> suggest_batch(
       const std::vector<SuggestionRequest>& requests);
 
@@ -249,16 +185,16 @@ class InferenceService {
   void record_accept();
   void record_reject();
 
-  // The service's metrics registry: counters/gauges backing ServiceStats
-  // plus per-stage latency histograms; export with expose_prometheus() /
-  // expose_json().
+  // The service's metrics registry: the wisdom_serve_* counters (offered,
+  // requests, shed, degraded, ...), the wall-time gauge, and the request
+  // and per-stage latency histograms; export with expose_prometheus().
+  // Counters are not instrumentation: they count even when observability
+  // is switched off. Identities that hold whenever no call is in flight:
+  //   offered == requests + shed + drain_rejected   (RejectNewest)
+  //   offered == requests + drain_rejected          (DegradeNewest)
+  //   wisdom_serve_request_ms count == requests
   obs::MetricsRegistry& metrics() { return registry_; }
   const obs::MetricsRegistry& metrics() const { return registry_; }
-
-  // Single-threaded view (refreshed from the registry on each call); use
-  // stats_snapshot() when other threads may be calling into the service.
-  const ServiceStats& stats() const;
-  ServiceStats stats_snapshot() const;
 
   // Cache stats snapshots; all-zero when the corresponding level is
   // disabled.
@@ -304,7 +240,6 @@ class InferenceService {
     obs::Counter* cache_prefix_misses = nullptr;
     obs::Counter* cache_prefix_inserts = nullptr;
     obs::Counter* cache_prefix_evictions = nullptr;
-    obs::Counter* cache_prefix_expired = nullptr;
     obs::Counter* cache_prefill_tokens_saved = nullptr;
     obs::Gauge* cache_prefix_bytes = nullptr;
     obs::Gauge* cache_prefix_entries = nullptr;
@@ -313,7 +248,6 @@ class InferenceService {
     obs::Counter* cache_response_misses = nullptr;
     obs::Counter* cache_response_inserts = nullptr;
     obs::Counter* cache_response_evictions = nullptr;
-    obs::Counter* cache_response_expired = nullptr;
     obs::Gauge* cache_response_entries = nullptr;
     // Lint-gate counters. Pre-registered at construction (run_one is
     // const), one per registry rule, so every rule family appears in the
@@ -395,10 +329,8 @@ class InferenceService {
   // Feeds the completed trace's stage totals into the per-stage
   // histograms.
   void observe_stages(const obs::Trace& trace) const;
-  // Counter/histogram updates for one produced response; appends the
-  // exact latency sample under mu_.
+  // Counter/histogram updates for one produced response.
   void record_response(const SuggestionResponse& response);
-  void refresh_stats_locked() const;
 
   // Memo key for one request under this service's configuration.
   ResponseCache::Key memo_key(const SuggestionRequest& request) const;
@@ -425,11 +357,6 @@ class InferenceService {
   obs::MetricsRegistry registry_;
   Handles h_;
   std::atomic<std::uint64_t> trace_seq_{0};
-  mutable std::mutex mu_;
-  // Exact per-request latency samples (arrival order) for the legacy
-  // nearest-rank percentiles; everything else lives in the registry.
-  std::vector<double> latencies_ms_;
-  mutable ServiceStats stats_;
 };
 
 }  // namespace wisdom::serve

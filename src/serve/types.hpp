@@ -16,8 +16,11 @@
 namespace wisdom::serve {
 
 // Why a request was not served normally. Overloaded and CircuitOpen are
-// the transient errors (retrying after backoff can succeed); the rest are
-// terminal for the request that produced them.
+// the transient errors: Overloaded clears when the admission queue
+// drains, CircuitOpen when the breaker's cooldown elapses and its probes
+// succeed, so a client may retry them after backoff. The rest are
+// terminal for the request that produced them; Draining means the
+// service is going away, so clients fail over instead of retrying.
 enum class ServiceError : std::uint8_t {
   None = 0,
   InvalidRequest,    // empty prompt, negative indent
@@ -32,8 +35,6 @@ enum class ServiceError : std::uint8_t {
 std::string_view service_error_name(ServiceError error);
 // Parses a name produced by service_error_name; false on unknown names.
 bool service_error_from_name(std::string_view name, ServiceError* out);
-// True for errors a client should retry with backoff.
-bool is_transient(ServiceError error);
 
 struct SuggestionRequest {
   // YAML already in the editor above the cursor (may be empty).

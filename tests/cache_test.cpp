@@ -177,8 +177,12 @@ TEST(PrefixCache, DivergentRequestReusesSharedSpan) {
 // edges, and dropping entries merges the leftover pass-through nodes back.
 // Lookups must see the same spans either way.
 TEST(PrefixCache, EdgeSplitsAndMergesKeepLookupsExact) {
+  // Entry bytes are 148 * L + 192 for L tokens (snapshot plus path
+  // overhead). The three entries below take 932 + 932 + 488 = 2352;
+  // beside the 8-token entry inserted later (1376) the budget keeps only
+  // one of them.
   ws::PrefixCacheOptions options;
-  options.ttl_lookups = 3;
+  options.byte_budget = 2400;
   ws::PrefixKvCache cache(options);
   const auto a = seq({1, 2, 3, 4, 5});
   cache.insert(a, fake_snapshot(5));
@@ -192,14 +196,14 @@ TEST(PrefixCache, EdgeSplitsAndMergesKeepLookupsExact) {
   ASSERT_TRUE(on_path.has_value());
   EXPECT_EQ(on_path->reused_tokens, 2);
 
-  // Only `a` stays in use; the other two expire and their nodes merge.
-  for (int i = 0; i < 4; ++i) {
-    auto hit = cache.lookup(a);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(hit->exact);
-  }
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().expirations, 2u);
+  // `a` becomes the most recently used; an unrelated insert then evicts
+  // the other two, least recently used first, and their nodes merge.
+  auto hit = cache.lookup(a);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->exact);
+  cache.insert(std::vector<std::int32_t>(8, 9), fake_snapshot(8));
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
   auto after = cache.lookup(seq({1, 2, 3, 7}));
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->reused_tokens, 3);
@@ -253,18 +257,6 @@ TEST(PrefixCache, LruEvictionHonorsByteBudget) {
   EXPECT_TRUE(cache.lookup(c).has_value());
 }
 
-TEST(PrefixCache, TtlExpiresUntouchedEntries) {
-  ws::PrefixCacheOptions options;
-  options.ttl_lookups = 3;
-  ws::PrefixKvCache cache(options);
-  cache.insert(seq({1, 2}), fake_snapshot(2));
-  for (int i = 0; i < 4; ++i) cache.lookup(seq({9}));
-  EXPECT_FALSE(cache.lookup(seq({1, 2})).has_value());
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
 TEST(PrefixCache, ClearAndCounterIdentities) {
   ws::PrefixKvCache cache;
   cache.insert(seq({1}), fake_snapshot(1));
@@ -278,9 +270,7 @@ TEST(PrefixCache, ClearAndCounterIdentities) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(cache.bytes_held(), 0u);
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
-  EXPECT_EQ(stats.entries,
-            stats.stored - stats.evictions - stats.expirations -
-                stats.cleared);
+  EXPECT_EQ(stats.entries, stats.stored - stats.evictions - stats.cleared);
   // Cleared trie state is really gone, not just uncounted.
   EXPECT_FALSE(cache.lookup(seq({1, 2})).has_value());
 }
@@ -584,15 +574,13 @@ TEST(CacheService, MetricFamiliesExposedEvenWhenDisabled) {
   for (const char* family :
        {"wisdom_cache_prefix_hits_total", "wisdom_cache_prefix_misses_total",
         "wisdom_cache_prefix_inserts_total",
-        "wisdom_cache_prefix_evictions_total",
-        "wisdom_cache_prefix_expired_total", "wisdom_cache_prefix_bytes",
+        "wisdom_cache_prefix_evictions_total", "wisdom_cache_prefix_bytes",
         "wisdom_cache_prefix_entries",
         "wisdom_cache_prefill_tokens_saved_total",
         "wisdom_cache_prefix_hit_tokens", "wisdom_cache_response_hits_total",
         "wisdom_cache_response_misses_total",
         "wisdom_cache_response_inserts_total",
         "wisdom_cache_response_evictions_total",
-        "wisdom_cache_response_expired_total",
         "wisdom_cache_response_entries", "wisdom_serve_stage_cache_ms"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
@@ -654,15 +642,12 @@ TEST(CacheStress, ConcurrentInsertsNeverExceedBudget) {
   auto stats = cache.stats();
   EXPECT_LE(stats.bytes, options.byte_budget);
   EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
-  EXPECT_EQ(stats.entries,
-            stats.stored - stats.evictions - stats.expirations -
-                stats.cleared);
+  EXPECT_EQ(stats.entries, stats.stored - stats.evictions - stats.cleared);
   EXPECT_GT(stats.evictions, 0u) << "the stress never exceeded the budget";
 
   cache.clear();
   auto cleared = cache.stats();
   EXPECT_EQ(cleared.entries, 0u);
   EXPECT_EQ(cleared.entries,
-            cleared.stored - cleared.evictions - cleared.expirations -
-                cleared.cleared);
+            cleared.stored - cleared.evictions - cleared.cleared);
 }

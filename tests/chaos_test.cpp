@@ -105,7 +105,9 @@ TEST(ChaosService, OverloadStormYieldsOneTerminalResponsePerRequest) {
       ++total;
       faults.reset();
     }
-    EXPECT_EQ(service.stats_snapshot().offered, total)
+    EXPECT_EQ(wisdom::testutil::metric_value(service.metrics(),
+                                             "wisdom_serve_offered_total"),
+              total)
         << "round " << round << " seed " << seed;
 
     // Drain at the end of the storm: the flush must report a stopped

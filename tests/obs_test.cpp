@@ -1,8 +1,7 @@
 // Observability layer: metrics registry exactness under concurrency,
-// histogram percentiles vs the legacy nearest-rank definition, golden
-// exposition output, deterministic request tracing (fault-injected, no
-// sleeps), the ServiceStats-from-registry rebacking, and the runtime kill
-// switch.
+// histogram percentiles vs the nearest-rank definition, golden exposition
+// output, deterministic request tracing (fault-injected, no sleeps), the
+// service's registry ledger, and the runtime kill switch.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -14,13 +13,16 @@
 #include "obs/trace.hpp"
 #include "serve/fault.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "text/bpe.hpp"
+#include "util/percentile.hpp"
 #include "util/thread_pool.hpp"
 
 namespace obs = wisdom::obs;
 namespace wm = wisdom::model;
 namespace ws = wisdom::serve;
 namespace wt = wisdom::text;
+using wisdom::testutil::metric_value;
 
 namespace {
 
@@ -121,20 +123,17 @@ TEST(Metrics, HistogramBucketUpperBoundSemantics) {
 
 TEST(Metrics, HistogramPercentileMatchesLegacyNearestRankOnBucketBounds) {
   // Samples placed exactly on bucket bounds: the histogram's
-  // bucket-upper-bound percentile and the legacy exact nearest-rank over
-  // raw samples are the same number.
+  // bucket-upper-bound percentile and the exact nearest-rank over raw
+  // samples are the same number.
   const std::vector<double> bounds = {1.0, 2.0, 5.0, 10.0};
   const std::vector<double> samples = {1.0, 2.0, 2.0, 5.0, 10.0};
 
   obs::MetricsRegistry registry;
   obs::Histogram& h = registry.histogram("t_pct_ms", bounds);
-  ws::ServiceStats legacy;
-  for (double s : samples) {
-    h.observe(s);
-    legacy.latencies_ms.push_back(s);
-  }
+  for (double s : samples) h.observe(s);
   for (double p : {10.0, 50.0, 80.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(h.percentile(p), legacy.percentile_latency_ms(p))
+    EXPECT_DOUBLE_EQ(h.percentile(p),
+                     wisdom::util::nearest_rank_percentile(samples, p))
         << "p=" << p;
   }
 }
@@ -187,23 +186,6 @@ TEST(Metrics, PrometheusExpositionIsGoldenStable) {
   EXPECT_EQ(registry.expose_prometheus(), expected);
   // Exposing twice without updates is bit-identical.
   EXPECT_EQ(registry.expose_prometheus(), expected);
-}
-
-TEST(Metrics, JsonExpositionCarriesSameValues) {
-  obs::MetricsRegistry registry;
-  registry.counter("t_requests_total", "Total requests.").inc(3);
-  registry.gauge("t_depth").set(2.0);
-  obs::Histogram& h = registry.histogram("t_latency_ms", {1.0, 5.0}, "Latency.");
-  h.observe(0.5);
-  h.observe(3.0);
-  h.observe(7.0);
-
-  EXPECT_EQ(registry.expose_json(),
-            "{\"counters\": {\"t_requests_total\": 3}, "
-            "\"gauges\": {\"t_depth\": 2}, "
-            "\"histograms\": {\"t_latency_ms\": "
-            "{\"buckets\": [[1, 1], [5, 2], [\"+Inf\", 3]], "
-            "\"sum\": 10.5, \"count\": 3}}}");
 }
 
 // ---------------------------------------------------------------------------
@@ -335,43 +317,78 @@ TEST(Trace, ClientTraceIdIsEchoed) {
 }
 
 // ---------------------------------------------------------------------------
-// Service rebacking + kill switch
+// Service ledger + kill switch
 
-TEST(ServiceObs, StatsMirrorRegistryCounters) {
-  obs::set_enabled(true);
+// The registry is the service's one ledger: after mixed traffic (queue
+// sheds, breaker short-circuits, drain refusals) its counters balance,
+// read from the registry alone.
+TEST(ServiceObs, LedgerBalancesUnderEachShedPolicy) {
   auto& f = fixture();
-  ws::InferenceService service(f.model, f.tokenizer, f.options());
-  ws::SuggestionRequest request;
-  request.prompt = "Install nginx";
-  service.suggest(request);
-  service.suggest(request);
-  service.record_accept();
-  service.record_reject();
+  for (ws::ShedPolicy policy :
+       {ws::ShedPolicy::RejectNewest, ws::ShedPolicy::DegradeNewest}) {
+    const bool reject = policy == ws::ShedPolicy::RejectNewest;
+    SCOPED_TRACE(reject ? "reject-newest" : "degrade-newest");
+    ws::FaultInjector faults;
+    ws::ServiceOptions options = f.options();
+    options.faults = &faults;
+    options.queue_capacity = 2;
+    options.shed_policy = policy;
+    options.breaker_enabled = true;
+    // min_samples above the batch's six outcomes: the breaker can trip
+    // only once the poisoned outcomes below reach it.
+    options.breaker.window = 16;
+    options.breaker.min_samples = 8;
+    options.breaker.cooldown = 2;
+    options.breaker.probes = 1;
+    ws::InferenceService service(f.model, f.tokenizer, options);
+    ws::SuggestionRequest request;
+    request.prompt = "Install nginx";
 
-  const ws::ServiceStats stats = service.stats_snapshot();
-  const obs::MetricsRegistry& registry = service.metrics();
-  EXPECT_EQ(stats.offered,
-            registry.find_counter("wisdom_serve_offered_total")->value());
-  EXPECT_EQ(stats.requests,
-            registry.find_counter("wisdom_serve_requests_total")->value());
-  EXPECT_EQ(stats.accepted,
-            registry.find_counter("wisdom_serve_accepted_total")->value());
-  EXPECT_EQ(stats.rejected,
-            registry.find_counter("wisdom_serve_rejected_total")->value());
-  EXPECT_EQ(
-      stats.generated_tokens,
-      registry.find_counter("wisdom_serve_generated_tokens_total")->value());
-  const obs::Histogram* request_ms =
-      registry.find_histogram("wisdom_serve_request_ms");
-  ASSERT_NE(request_ms, nullptr);
-  EXPECT_EQ(request_ms->count(), stats.requests);
-  EXPECT_DOUBLE_EQ(request_ms->sum(), stats.total_latency_ms);
-  EXPECT_EQ(stats.latencies_ms.size(), 2u);
+    // Three times the queue capacity in one batch: four arrivals shed.
+    std::vector<ws::SuggestionResponse> responses =
+        service.suggest_batch(std::vector<ws::SuggestionRequest>(6, request));
+    // Two poisoned outcomes trip the breaker; the next two arrivals
+    // short-circuit to the fallback.
+    faults.set_poison_breaker(2);
+    for (int i = 0; i < 4; ++i) responses.push_back(service.suggest(request));
+    service.begin_drain();
+    responses.push_back(service.suggest(request));
 
-  // The exposition names the serve families.
-  std::string text = registry.expose_prometheus();
-  EXPECT_NE(text.find("wisdom_serve_requests_total 2"), std::string::npos);
-  EXPECT_NE(text.find("wisdom_serve_request_ms_count 2"), std::string::npos);
+    const obs::MetricsRegistry& registry = service.metrics();
+    const double offered = metric_value(registry, "wisdom_serve_offered_total");
+    const double requests =
+        metric_value(registry, "wisdom_serve_requests_total");
+    const double shed = metric_value(registry, "wisdom_serve_shed_total");
+    const double drain_rejected =
+        metric_value(registry, "wisdom_drain_rejected_total");
+    EXPECT_EQ(offered, static_cast<double>(responses.size()));
+    EXPECT_GT(shed, 0.0);
+    EXPECT_GT(metric_value(registry, "wisdom_breaker_short_circuit_total"),
+              0.0);
+    EXPECT_EQ(drain_rejected, 1.0);
+    if (reject) {
+      EXPECT_EQ(offered, requests + drain_rejected + shed);
+    } else {
+      EXPECT_EQ(offered, requests + drain_rejected);
+    }
+    EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"),
+              requests);
+    int generated = 0;
+    for (const ws::SuggestionResponse& response : responses)
+      generated += response.generated_tokens;
+    EXPECT_GT(generated, 0);
+    EXPECT_EQ(metric_value(registry, "wisdom_serve_generated_tokens_total"),
+              generated);
+
+    // The exposition prints the same ledger.
+    const std::string text = registry.expose_prometheus();
+    const std::string count =
+        std::to_string(static_cast<std::uint64_t>(requests));
+    EXPECT_NE(text.find("wisdom_serve_requests_total " + count),
+              std::string::npos);
+    EXPECT_NE(text.find("wisdom_serve_request_ms_count " + count),
+              std::string::npos);
+  }
 }
 
 TEST(ServiceObs, RuntimeKillSwitchDisablesTracingButNotStats) {
@@ -390,9 +407,9 @@ TEST(ServiceObs, RuntimeKillSwitchDisablesTracingButNotStats) {
   EXPECT_TRUE(trace.empty());
   EXPECT_TRUE(response.trace_id.empty());
   EXPECT_TRUE(response.server_timing_ms.empty());
-  // The stats data model still counts: it is not instrumentation.
-  EXPECT_EQ(service.stats_snapshot().requests, 1u);
-  EXPECT_EQ(service.stats_snapshot().offered, 1u);
+  // The ledger still counts: it is not instrumentation.
+  EXPECT_EQ(metric_value(service.metrics(), "wisdom_serve_requests_total"), 1);
+  EXPECT_EQ(metric_value(service.metrics(), "wisdom_serve_offered_total"), 1);
 }
 
 TEST(ServiceObs, ThreadPoolFamiliesRegisteredEagerly) {

@@ -1,12 +1,11 @@
 // Robustness suite for the deadline-aware serving path: cancellation,
-// admission control, graceful degradation, retry/backoff, checkpoint
-// corruption, and wire-format hardening. Every degraded path is driven
-// deterministically (check-count deadlines, fault injection, injected
-// sleep functions) — no wall-clock sleeps, no timing assumptions.
+// admission control, graceful degradation, circuit breaking, drain,
+// checkpoint corruption, and wire-format hardening. Every degraded path is
+// driven deterministically (check-count deadlines, fault injection) — no
+// wall-clock sleeps, no timing assumptions.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -19,9 +18,9 @@
 #include "serve/fallback.hpp"
 #include "serve/fault.hpp"
 #include "serve/queue.hpp"
-#include "serve/retry.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
+#include "test_util.hpp"
 #include "text/bpe.hpp"
 #include "util/deadline.hpp"
 
@@ -29,6 +28,7 @@ namespace wm = wisdom::model;
 namespace ws = wisdom::serve;
 namespace wt = wisdom::text;
 namespace wu = wisdom::util;
+using wisdom::testutil::metric_value;
 
 namespace {
 
@@ -153,7 +153,6 @@ TEST(AdmissionQueue, UnboundedAlwaysAdmits) {
   ws::AdmissionQueue queue(0);
   EXPECT_FALSE(queue.bounded());
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(queue.try_acquire());
-  EXPECT_EQ(queue.shed_count(), 0u);
 }
 
 TEST(AdmissionQueue, CapacityIsEnforced) {
@@ -162,7 +161,6 @@ TEST(AdmissionQueue, CapacityIsEnforced) {
   EXPECT_TRUE(queue.try_acquire());
   EXPECT_FALSE(queue.try_acquire());  // full: shed
   EXPECT_EQ(queue.in_flight(), 2);
-  EXPECT_EQ(queue.shed_count(), 1u);
   queue.release();
   EXPECT_TRUE(queue.try_acquire());  // slot freed
 }
@@ -332,11 +330,11 @@ TEST(ServiceRobustness, SlowDecodeFallsBackWithinBudget) {
   EXPECT_NE(response.snippet.find("ansible.builtin.package"),
             std::string::npos);
 
-  const auto& stats = service.stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.degraded, 1u);
-  EXPECT_EQ(stats.deadline_expired, 1u);
-  EXPECT_EQ(stats.shed, 0u);
+  const auto& registry = service.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"), 1);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_degraded_total"), 1);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_deadline_expired_total"), 1);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_shed_total"), 0);
 }
 
 TEST(ServiceRobustness, SlowDecodeMidGenerationStillDegrades) {
@@ -416,7 +414,9 @@ TEST(ServiceRobustness, PerRequestDeadlineOverridesDefault) {
   auto response = service.suggest(request);
   EXPECT_EQ(response.error, ws::ServiceError::DeadlineExceeded);
   EXPECT_TRUE(response.degraded);
-  EXPECT_EQ(service.stats().deadline_expired, 1u);
+  EXPECT_EQ(metric_value(service.metrics(),
+                         "wisdom_serve_deadline_expired_total"),
+            1);
 }
 
 TEST(ServiceRobustness, InvalidRequestIsTyped) {
@@ -443,12 +443,12 @@ TEST(ServiceRobustness, ForcedQueueFullShedsWithOverloaded) {
   auto response = service.suggest(install_request());
   EXPECT_FALSE(response.ok);
   EXPECT_EQ(response.error, ws::ServiceError::Overloaded);
-  const auto& stats = service.stats();
-  EXPECT_EQ(stats.offered, 1u);
-  EXPECT_EQ(stats.shed, 1u);
+  const auto& registry = service.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_offered_total"), 1);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_shed_total"), 1);
   // Reject-newest sheds never enter the pipeline: no latency sample.
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_TRUE(stats.latencies_ms.empty());
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"), 0);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"), 0);
 
   faults.set_force_queue_full(false);
   EXPECT_EQ(service.suggest(install_request()).error,
@@ -485,11 +485,14 @@ TEST(ServiceRobustness, BatchOverloadShedsDeterministically) {
   }
   EXPECT_EQ(shed, kOffered - kCapacity);
 
-  const auto& stats = service.stats();
-  EXPECT_EQ(stats.offered, static_cast<std::uint64_t>(kOffered));
-  EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(kOffered - kCapacity));
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCapacity));
-  EXPECT_DOUBLE_EQ(stats.shed_rate(), 0.75);
+  const auto& registry = service.metrics();
+  const double offered = metric_value(registry, "wisdom_serve_offered_total");
+  EXPECT_EQ(offered, kOffered);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_shed_total"),
+            kOffered - kCapacity);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"), kCapacity);
+  EXPECT_DOUBLE_EQ(metric_value(registry, "wisdom_serve_shed_total") / offered,
+                   0.75);
 }
 
 TEST(ServiceRobustness, DegradeNewestServesShedRequestsFromFallback) {
@@ -510,12 +513,12 @@ TEST(ServiceRobustness, DegradeNewestServesShedRequestsFromFallback) {
     EXPECT_EQ(responses[i].error, ws::ServiceError::Overloaded);
   }
 
-  const auto& stats = service.stats();
-  EXPECT_EQ(stats.offered, 3u);
-  EXPECT_EQ(stats.shed, 2u);
+  const auto& registry = service.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_offered_total"), 3);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_shed_total"), 2);
   // Degraded sheds are served requests: they carry latency samples.
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_GE(stats.degraded, 2u);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"), 3);
+  EXPECT_GE(metric_value(registry, "wisdom_serve_degraded_total"), 2);
 }
 
 TEST(ServiceRobustness, SequentialSuggestNeverShedsWithinCapacity) {
@@ -528,208 +531,7 @@ TEST(ServiceRobustness, SequentialSuggestNeverShedsWithinCapacity) {
     EXPECT_NE(service.suggest(install_request()).error,
               ws::ServiceError::Overloaded);
   }
-  EXPECT_EQ(service.stats().shed, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Retry with exponential backoff
-
-TEST(Backoff, ScheduleIsDeterministicPerSeed) {
-  ws::RetryPolicy policy;
-  policy.base_delay_ms = 10.0;
-  policy.multiplier = 2.0;
-  policy.max_delay_ms = 100.0;
-  policy.jitter = 0.5;
-  policy.seed = 42;
-
-  ws::Backoff a(policy);
-  ws::Backoff b(policy);
-  for (int i = 0; i < 8; ++i) {
-    double da = a.next_delay_ms();
-    double db = b.next_delay_ms();
-    EXPECT_DOUBLE_EQ(da, db) << "retry " << i;
-    // Equal jitter keeps the delay within [backoff/2, backoff], capped.
-    double backoff = std::min(10.0 * std::pow(2.0, i), 100.0);
-    EXPECT_GE(da, backoff * 0.5 - 1e-9);
-    EXPECT_LE(da, backoff + 1e-9);
-  }
-}
-
-TEST(Backoff, ZeroJitterIsExactExponential) {
-  ws::RetryPolicy policy;
-  policy.base_delay_ms = 5.0;
-  policy.multiplier = 3.0;
-  policy.max_delay_ms = 50.0;
-  policy.jitter = 0.0;
-  ws::Backoff backoff(policy);
-  EXPECT_DOUBLE_EQ(backoff.next_delay_ms(), 5.0);
-  EXPECT_DOUBLE_EQ(backoff.next_delay_ms(), 15.0);
-  EXPECT_DOUBLE_EQ(backoff.next_delay_ms(), 45.0);
-  EXPECT_DOUBLE_EQ(backoff.next_delay_ms(), 50.0);  // capped
-  EXPECT_DOUBLE_EQ(backoff.next_delay_ms(), 50.0);
-}
-
-TEST(Retry, ExhaustsAttemptsAgainstPersistentOverload) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_force_queue_full(true);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.queue_capacity = 1;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  ws::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.jitter = 0.0;
-  policy.base_delay_ms = 10.0;
-  std::vector<double> slept;
-  ws::RetryingClient client(service, policy,
-                            [&](double ms) { slept.push_back(ms); });
-
-  auto outcome = client.suggest_with_trace(install_request());
-  EXPECT_EQ(outcome.attempts, 4);
-  EXPECT_EQ(outcome.response.error, ws::ServiceError::Overloaded);
-  ASSERT_EQ(outcome.delays_ms.size(), 3u);  // one per retry taken
-  EXPECT_EQ(slept, outcome.delays_ms);      // the injected clock saw them all
-  EXPECT_DOUBLE_EQ(outcome.delays_ms[0], 10.0);
-  EXPECT_DOUBLE_EQ(outcome.delays_ms[1], 20.0);
-  EXPECT_DOUBLE_EQ(outcome.delays_ms[2], 40.0);
-}
-
-TEST(Retry, RecoversWhenOverloadClears) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_force_queue_full(true);
-  // Once admitted, decode under an instantly-expired deadline so the second
-  // attempt resolves deterministically via the fallback.
-  faults.set_slow_decode_after_tokens(0);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.queue_capacity = 1;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  ws::RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.jitter = 0.0;
-  ws::RetryingClient client(service, policy, [&](double) {
-    faults.set_force_queue_full(false);  // the hot spot cools off mid-backoff
-  });
-
-  auto outcome = client.suggest_with_trace(install_request());
-  EXPECT_EQ(outcome.attempts, 2);
-  EXPECT_TRUE(outcome.response.ok);
-  EXPECT_TRUE(outcome.response.degraded);
-  EXPECT_EQ(outcome.response.error, ws::ServiceError::DeadlineExceeded);
-}
-
-TEST(Retry, TerminalErrorsAreNotRetried) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_fail_generate(-1);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.fallback_enabled = false;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  int sleeps = 0;
-  ws::RetryingClient client(service, ws::RetryPolicy{},
-                            [&](double) { ++sleeps; });
-  auto outcome = client.suggest_with_trace(install_request());
-  EXPECT_EQ(outcome.attempts, 1);
-  EXPECT_EQ(sleeps, 0);
-  EXPECT_EQ(outcome.response.error, ws::ServiceError::GenerateFailed);
-}
-
-TEST(Retry, DegradedShedIsAcceptedNotRetried) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_force_queue_full(true);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.queue_capacity = 1;
-  options.shed_policy = ws::ShedPolicy::DegradeNewest;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  int sleeps = 0;
-  ws::RetryingClient client(service, ws::RetryPolicy{},
-                            [&](double) { ++sleeps; });
-  auto outcome = client.suggest_with_trace(install_request());
-  // The shed response already carries a usable fallback snippet; retrying
-  // would only add load to a hot service.
-  EXPECT_EQ(outcome.attempts, 1);
-  EXPECT_EQ(sleeps, 0);
-  EXPECT_TRUE(outcome.response.ok);
-  EXPECT_TRUE(outcome.response.degraded);
-}
-
-TEST(Retry, TotalDelayBudgetStopsRetrying) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_force_queue_full(true);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.queue_capacity = 1;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  // Deterministic schedule 10, 20, 40, ...; a 25 ms budget affords exactly
-  // the first retry (10) — the second (10 + 20 = 30 > 25) is refused
-  // before sleeping.
-  ws::RetryPolicy policy;
-  policy.max_attempts = 6;
-  policy.jitter = 0.0;
-  policy.base_delay_ms = 10.0;
-  policy.total_budget_ms = 25.0;
-  std::vector<double> slept;
-  ws::RetryingClient client(service, policy,
-                            [&](double ms) { slept.push_back(ms); });
-
-  auto outcome = client.suggest_with_trace(install_request());
-  EXPECT_EQ(outcome.attempts, 2);
-  EXPECT_TRUE(outcome.budget_exhausted);
-  ASSERT_EQ(outcome.delays_ms.size(), 1u);
-  EXPECT_DOUBLE_EQ(outcome.delays_ms[0], 10.0);
-  EXPECT_EQ(slept, outcome.delays_ms);
-  EXPECT_EQ(outcome.response.error, ws::ServiceError::Overloaded);
-  const auto* budget_counter = service.metrics().find_counter(
-      "wisdom_serve_retry_budget_exhausted_total");
-  ASSERT_NE(budget_counter, nullptr);
-  EXPECT_EQ(budget_counter->value(), 1u);
-}
-
-TEST(Retry, ZeroBudgetMeansUnlimited) {
-  auto& f = fixture();
-  ws::FaultInjector faults;
-  faults.set_force_queue_full(true);
-  ws::ServiceOptions options;
-  options.faults = &faults;
-  options.queue_capacity = 1;
-  ws::InferenceService service(f.model, f.tokenizer, options);
-
-  ws::RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.jitter = 0.0;
-  policy.total_budget_ms = 0.0;  // the default: no budget cutoff
-  ws::RetryingClient client(service, policy, [](double) {});
-  auto outcome = client.suggest_with_trace(install_request());
-  EXPECT_EQ(outcome.attempts, 4);
-  EXPECT_FALSE(outcome.budget_exhausted);
-}
-
-TEST(Retry, DrainingRefusalIsTerminalNotRetried) {
-  auto& f = fixture();
-  ws::InferenceService service(f.model, f.tokenizer);
-  service.begin_drain();
-
-  int sleeps = 0;
-  ws::RetryingClient client(service, ws::RetryPolicy{},
-                            [&](double) { ++sleeps; });
-  auto outcome = client.suggest_with_trace(install_request());
-  // Draining is not transient: the service is going away, so the client
-  // must fail over instead of queueing retries against it.
-  EXPECT_EQ(outcome.attempts, 1);
-  EXPECT_EQ(sleeps, 0);
-  EXPECT_EQ(outcome.response.error, ws::ServiceError::Draining);
-  EXPECT_FALSE(outcome.response.ok);
+  EXPECT_EQ(metric_value(service.metrics(), "wisdom_serve_shed_total"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -891,7 +693,9 @@ TEST(ServiceBreaker, OpensOnFailuresAndShortCircuitsToFallback) {
     EXPECT_TRUE(response.degraded);
     EXPECT_TRUE(wisdom::metrics::schema_correct(response.snippet));
   }
-  EXPECT_EQ(service.stats_snapshot().short_circuited, 2u);
+  EXPECT_EQ(metric_value(service.metrics(),
+                         "wisdom_breaker_short_circuit_total"),
+            2);
 
   // Backend recovers; the two probes succeed and the breaker closes.
   faults.reset();
@@ -978,7 +782,9 @@ TEST(ServiceBreaker, BatchAdmissionGatesPerRequest) {
     EXPECT_EQ(refused[i].error, ws::ServiceError::CircuitOpen) << i;
     EXPECT_TRUE(refused[i].degraded) << i;
   }
-  EXPECT_EQ(service.stats_snapshot().short_circuited, 2u);
+  EXPECT_EQ(metric_value(service.metrics(),
+                         "wisdom_breaker_short_circuit_total"),
+            2);
 }
 
 // ---------------------------------------------------------------------------
@@ -998,12 +804,11 @@ TEST(Drain, LifecycleRefusesNewWorkAfterBeginDrain) {
   EXPECT_FALSE(refused.degraded);  // a typed refusal, not a fallback
   EXPECT_TRUE(refused.snippet.empty());
   EXPECT_EQ(refused.error, ws::ServiceError::Draining);
-  EXPECT_FALSE(ws::is_transient(refused.error));
 
   std::vector<ws::SuggestionRequest> requests(3, install_request());
   for (const auto& response : service.suggest_batch(requests))
     EXPECT_EQ(response.error, ws::ServiceError::Draining);
-  EXPECT_EQ(service.stats_snapshot().drain_rejected, 4u);
+  EXPECT_EQ(metric_value(service.metrics(), "wisdom_drain_rejected_total"), 4);
 }
 
 TEST(Drain, DrainReturnsFinalMetricsFlushAndStops) {
@@ -1296,8 +1101,6 @@ TEST(WireRobustness, ErrorNamesRoundTrip) {
     ASSERT_TRUE(
         ws::service_error_from_name(ws::service_error_name(e), &parsed));
     EXPECT_EQ(parsed, e);
-    EXPECT_EQ(ws::is_transient(e), e == ws::ServiceError::Overloaded ||
-                                       e == ws::ServiceError::CircuitOpen);
   }
   ws::ServiceError unused;
   EXPECT_FALSE(ws::service_error_from_name("bogus", &unused));

@@ -13,6 +13,7 @@ namespace wd = wisdom::data;
 namespace wm = wisdom::model;
 namespace ws = wisdom::serve;
 namespace wt = wisdom::text;
+using wisdom::testutil::metric_value;
 
 namespace {
 
@@ -93,7 +94,7 @@ TEST(Service, EmptyPromptRejected) {
   request.prompt = "";
   auto response = service.suggest(request);
   EXPECT_FALSE(response.ok);
-  EXPECT_EQ(service.stats().requests, 1u);
+  EXPECT_EQ(metric_value(service.metrics(), "wisdom_serve_requests_total"), 1);
 }
 
 TEST(Service, NegativeIndentRejected) {
@@ -129,19 +130,21 @@ TEST(Service, StatsAccumulate) {
   service.record_accept();
   service.record_reject();
   service.record_accept();
-  const auto& stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_NEAR(stats.acceptance_rate(), 2.0 / 3.0, 1e-9);
-  EXPECT_GT(stats.mean_latency_ms(), 0.0);
+  const auto& registry = service.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"), 2);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_accepted_total"), 2);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_rejected_total"), 1);
+  EXPECT_GT(metric_value(registry, "wisdom_serve_request_ms_sum"), 0.0);
 }
 
 TEST(Service, EmptyStats) {
   auto& f = fixture();
   ws::InferenceService service(f.model, f.tokenizer);
-  EXPECT_EQ(service.stats().acceptance_rate(), 0.0);
-  EXPECT_EQ(service.stats().mean_latency_ms(), 0.0);
+  const auto& registry = service.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_accepted_total"), 0);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_rejected_total"), 0);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"), 0);
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_sum"), 0.0);
 }
 
 // --- lint policy matrix -------------------------------------------------------
@@ -306,10 +309,12 @@ TEST(ServiceBatch, MatchesSequentialWithCachesOnAndOff) {
       ASSERT_EQ(responses.size(), requests.size());
       for (std::size_t i = 0; i < requests.size(); ++i)
         expect_same_payload(responses[i], expected[i], i);
-      const ws::ServiceStats stats = batched.stats_snapshot();
-      EXPECT_EQ(stats.requests, requests.size());
-      EXPECT_EQ(stats.latencies_ms.size(), requests.size());
-      EXPECT_GT(stats.total_wall_ms, 0.0);
+      const auto& registry = batched.metrics();
+      EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"),
+                requests.size());
+      EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"),
+                requests.size());
+      EXPECT_GT(metric_value(registry, "wisdom_serve_wall_ms"), 0.0);
     }
   }
   wisdom::util::ThreadPool::set_global_threads(0);

@@ -1,6 +1,6 @@
 // Shared test fixtures: the tiny-model / tokenizer builders used by the
 // model, serve, cache, chaos and http suites, so each constructs identical
-// models from one definition.
+// models from one definition, and the one reader of metric samples.
 //
 // Two model families live here:
 //  - tiny_config() / serving_model(): an UNtrained 2-layer model whose
@@ -11,8 +11,11 @@
 //    end-to-end tests that assert on response content.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -20,6 +23,7 @@
 #include "model/config.hpp"
 #include "model/transformer.hpp"
 #include "nn/ops.hpp"
+#include "obs/metrics.hpp"
 #include "text/bpe.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +121,29 @@ struct TrainedTinyModel {
     return cfg;
   }
 };
+
+// The sample the Prometheus exposition of `registry` prints as `name`: a
+// counter or gauge value, or a histogram's `<family>_count` or
+// `<family>_sum`. Tests read the service's ledger (InferenceService::
+// metrics()) through this. Fails the calling test, and returns 0, when
+// there is no such sample.
+inline double metric_value(const obs::MetricsRegistry& registry,
+                           std::string_view name) {
+  if (const obs::Counter* counter = registry.find_counter(name))
+    return static_cast<double>(counter->value());
+  if (const obs::Gauge* gauge = registry.find_gauge(name))
+    return gauge->value();
+  for (std::string_view suffix : {"_count", "_sum"}) {
+    if (!name.ends_with(suffix)) continue;
+    const obs::Histogram* histogram =
+        registry.find_histogram(name.substr(0, name.size() - suffix.size()));
+    if (histogram)
+      return suffix == "_count" ? static_cast<double>(histogram->count())
+                                : histogram->sum();
+  }
+  ADD_FAILURE() << "no metric sample named " << name;
+  return 0.0;
+}
 
 // Leaked singleton (never destroyed): avoids static-destruction-order
 // races with the global thread pool on process exit.

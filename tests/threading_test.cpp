@@ -1,8 +1,7 @@
 // Thread pool and parallel-kernel tests: pool lifecycle and exception
 // safety, bit-exact sequential/parallel parity for the sharded matmul
 // kernels (including shapes not divisible by the thread count), whole-model
-// determinism across thread counts, batched serving parity, and the
-// ServiceStats percentile math.
+// determinism across thread counts, and batched serving parity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +14,7 @@
 #include "model/transformer.hpp"
 #include "nn/ops.hpp"
 #include "serve/service.hpp"
+#include "test_util.hpp"
 #include "text/bpe.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -291,45 +291,15 @@ TEST(BatchedServe, MatchesSequentialSuggest) {
     EXPECT_EQ(responses[i].generated_tokens, expected[i].generated_tokens);
   }
 
-  const ws::ServiceStats stats = batched.stats_snapshot();
-  EXPECT_EQ(stats.requests, requests.size());
-  EXPECT_EQ(stats.latencies_ms.size(), requests.size());
-  EXPECT_GT(stats.tokens_per_sec(), 0.0);
+  using wisdom::testutil::metric_value;
+  const auto& registry = batched.metrics();
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"),
+            requests.size());
+  EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"),
+            requests.size());
+  EXPECT_GT(metric_value(registry, "wisdom_serve_generated_tokens_total"),
+            0.0);
   // A batch books its wall time exactly once.
-  EXPECT_GT(stats.total_wall_ms, 0.0);
+  EXPECT_GT(metric_value(registry, "wisdom_serve_wall_ms"), 0.0);
   ThreadPool::set_global_threads(0);
-}
-
-// --- stats percentile math ------------------------------------------------
-
-TEST(ServiceStats, PercentilesNearestRank) {
-  ws::ServiceStats stats;
-  // 1..100 shuffled: percentile p must be exactly p.
-  Rng rng(4);
-  std::vector<double> values;
-  for (int i = 1; i <= 100; ++i) values.push_back(static_cast<double>(i));
-  rng.shuffle(values);
-  for (double v : values) {
-    stats.latencies_ms.push_back(v);
-    ++stats.requests;
-    stats.total_latency_ms += v;
-  }
-  EXPECT_DOUBLE_EQ(stats.p50_latency_ms(), 50.0);
-  EXPECT_DOUBLE_EQ(stats.p95_latency_ms(), 95.0);
-  EXPECT_DOUBLE_EQ(stats.p99_latency_ms(), 99.0);
-  EXPECT_DOUBLE_EQ(stats.percentile_latency_ms(100.0), 100.0);
-  EXPECT_DOUBLE_EQ(stats.percentile_latency_ms(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats.mean_latency_ms(), 50.5);
-}
-
-TEST(ServiceStats, PercentileEdgeCases) {
-  ws::ServiceStats stats;
-  EXPECT_EQ(stats.p50_latency_ms(), 0.0);
-  EXPECT_EQ(stats.tokens_per_sec(), 0.0);
-  stats.latencies_ms = {42.0};
-  EXPECT_DOUBLE_EQ(stats.p50_latency_ms(), 42.0);
-  EXPECT_DOUBLE_EQ(stats.p99_latency_ms(), 42.0);
-  stats.generated_tokens = 100;
-  stats.total_wall_ms = 500.0;
-  EXPECT_DOUBLE_EQ(stats.tokens_per_sec(), 200.0);
 }

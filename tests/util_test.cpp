@@ -6,6 +6,7 @@
 
 #include "util/hashing.hpp"
 #include "util/io.hpp"
+#include "util/percentile.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -211,6 +212,31 @@ TEST(Io, FileRoundTrip) {
   ASSERT_TRUE(content.has_value());
   EXPECT_EQ(*content, std::string("hello\0world"));
   EXPECT_FALSE(wu::read_file(path + ".missing").has_value());
+}
+
+// --- percentile ------------------------------------------------------------
+
+TEST(Percentile, NearestRank) {
+  // 1..100 shuffled: percentile p must be exactly p.
+  wu::Rng rng(4);
+  std::vector<double> values;
+  for (int i = 1; i <= 100; ++i) values.push_back(static_cast<double>(i));
+  rng.shuffle(values);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile(values, 50.0), 50.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile(values, 95.0), 95.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile(values, 99.0), 99.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile(values, 100.0), 100.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile(values, 1.0), 1.0);
+}
+
+TEST(Percentile, EdgeCases) {
+  EXPECT_EQ(wu::nearest_rank_percentile({}, 50.0), 0.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile({42.0}, 50.0), 42.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile({42.0}, 99.0), 42.0);
+  // p is clamped to [0, 100]: below the range reads the smallest sample,
+  // above it the largest.
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile({3.0, 1.0, 2.0}, -5.0), 1.0);
+  EXPECT_DOUBLE_EQ(wu::nearest_rank_percentile({3.0, 1.0, 2.0}, 250.0), 3.0);
 }
 
 // --- table ---------------------------------------------------------------
