@@ -1,6 +1,7 @@
 #include "analysis/engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "analysis/dataflow.hpp"
@@ -259,7 +260,8 @@ AnalysisResult analyze(std::string_view text, const RuleConfig& config) {
   check_templates(*doc, em);
 
   // The semantic layer: lower to IR once, run every pass over it.
-  PlaybookIr ir = build_ir(*doc);
+  const PlaybookIr ir =
+      build_ir(std::make_shared<const yaml::Node>(std::move(*doc)));
   check_ir_tasks(text, ir, em, fixes);
   for (Finding& f : dataflow_pass(ir)) {
     em.add(f.rule, std::move(f.message), f.span, std::move(f.edits));

@@ -420,8 +420,10 @@ std::vector<std::pair<std::size_t, BlockSection>> PlaybookIr::branch_path(
   return path;
 }
 
-PlaybookIr build_ir(const yaml::Node& doc) {
+PlaybookIr build_ir(std::shared_ptr<const yaml::Node> shared) {
   Builder b;
+  const yaml::Node& doc = *shared;
+  b.ir.doc = std::move(shared);
   if (doc.is_map()) {
     b.add_play(nullptr, &doc, {});
   } else if (doc.is_seq() && ans::looks_like_playbook(doc)) {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,6 +117,9 @@ struct CfgEdge {
 };
 
 struct PlaybookIr {
+  // The document the IR's node pointers point into. The IR shares it, so
+  // no IR outlives the nodes it refers to.
+  std::shared_ptr<const yaml::Node> doc;
   std::vector<IrTask> tasks;  // arena; ids index into it
   std::vector<IrPlay> plays;
   std::vector<CfgEdge> edges;
@@ -142,7 +146,8 @@ struct PlaybookIr {
 // Lowers a parsed document into IR. Accepts the same document shapes the
 // engine analyzes: a single task mapping, a task list, or a playbook; a
 // synthetic play wraps the first two so every task has a play context.
-PlaybookIr build_ir(const yaml::Node& doc);
+// The IR keeps `doc` alive (PlaybookIr::doc).
+PlaybookIr build_ir(std::shared_ptr<const yaml::Node> doc);
 
 // Root identifiers a Jinja expression dereferences: `result.rc != 0` yields
 // {result}; filters (`x | default(1)`), tests (`x is defined`), attribute

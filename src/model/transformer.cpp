@@ -66,15 +66,15 @@ void accumulate_dk(const float* dscores, const float* q, float* dk, int t,
   }
 }
 
-// Runs body(s0, s1) over the flattened (batch, head) index space, on the
-// global pool when the per-call attention work clears the nn parallel
-// threshold. Each (b, head) slot touches disjoint slices of the activation
-// buffers, and every slot is computed exactly as in the sequential loop, so
-// results are bit-identical at any thread count. The body is taken as a
-// template so the inline path wraps nothing in a std::function.
+// Runs body(s0, s1) over the attention slots [0, slots): (batch, head)
+// pairs in training, rows in a decode step. It uses the global pool when
+// the per-call attention work clears the nn parallel threshold. Each slot
+// touches disjoint slices of the activation buffers, and every slot is
+// computed exactly as in the sequential loop, so results are bit-identical
+// at any thread count. The body is taken as a template so the inline path
+// wraps nothing in a std::function.
 template <class Body>
-void for_each_head(int batch, int h, std::size_t madds, const Body& body) {
-  const int slots = batch * h;
+void for_each_slot(int slots, std::size_t madds, const Body& body) {
   if (slots > 1 && madds >= nn::parallel_threshold() &&
       !util::ThreadPool::in_worker()) {
     util::ThreadPool& pool = util::ThreadPool::global();
@@ -245,7 +245,7 @@ float Transformer::run(std::span<const std::int32_t> x,
         static_cast<std::size_t>(batch) * h * t * t, 0.0f);
     A.att_mix.assign(rd, 0.0f);
 
-    for_each_head(batch, h, att_madds, [&](int s0, int s1) {
+    for_each_slot(batch * h, att_madds, [&](int s0, int s1) {
       Vec qh(static_cast<std::size_t>(t) * hd), kh(qh.size()),
           vh(qh.size()), oh(qh.size());
       Vec scores(static_cast<std::size_t>(t) * t);
@@ -378,7 +378,7 @@ float Transformer::run(std::span<const std::int32_t> x,
     nn::add_bias_backward(dmid.data(), L.bo.g.data(), rows, d);
 
     Vec dqkv(static_cast<std::size_t>(rows) * 3 * d, 0.0f);
-    for_each_head(batch, h, att_madds, [&](int s0, int s1) {
+    for_each_slot(batch * h, att_madds, [&](int s0, int s1) {
       Vec qh(static_cast<std::size_t>(t) * hd), kh(qh.size()), vh(qh.size());
       Vec dqh(qh.size()), dkh(qh.size()), dvh(qh.size()), doh(qh.size());
       Vec dprobs(static_cast<std::size_t>(t) * t), dscores(dprobs.size());
@@ -510,11 +510,114 @@ void prepare_append(Transformer::KvCache& cache, int ctx) {
 // and allocates nothing.
 struct StepScratch {
   Vec x, norm, qkv, mix, tmp, fc, mean, rstd, logits;
-  // One attention row [ctx]. Attention lanes read it from the thread they
-  // run on, so pool lanes never share one and an inline lane uses the
-  // calling thread's.
+  // One row's attention probabilities, head-major [h x ctx]. Attention
+  // lanes read it from the thread they run on, so pool lanes never share
+  // one and an inline lane uses the calling thread's.
   Vec att;
 };
+
+// probs·V accumulates in 4-float GCC vector lanes. Each lane's update is
+// one element-wise multiply-add per key, and nothing in the loop is a
+// scalar reduction, so even under -ffast-math the compiler cannot
+// reassociate it across keys: per output element the sum is zero, then
+// one multiply-add per key in ascending order, whatever the block shape.
+using Lane = float __attribute__((vector_size(16)));
+constexpr int kLaneFloats = 4;
+// Lanes per full block: 8 accumulators (32 floats) plus the loaded value
+// and weight fit the 16 vector registers of a portable x86-64 build, so
+// wide rows (d96 is three blocks) do not spill.
+constexpr int kBlockLanes = 8;
+
+// out[c0, c0 + width) = sum over keys j < count of probs * values[j], for
+// the B lanes from column c0 on, width = min(B * 4, d - c0). Column c reads
+// its weight for key j from att[(c / hd) * ctx + j]. With kSplit false
+// every lane lies in one head (hd % 4 == 0), so one scalar weight serves
+// all four elements; otherwise each element gathers its own weight and the
+// row's last lane may be partial. B is a constant so that the accumulators
+// stay in registers: with a runtime lane count GCC may interchange the
+// loops and vectorize the key loop as a reduction, which reorders the sum.
+template <int B, bool kSplit>
+[[gnu::always_inline]] inline void probs_v_block(const float* att, int ctx,
+                                                 const float* values,
+                                                 int count, int d, int hd,
+                                                 float* out, int c0) {
+  constexpr int kWeights = kSplit ? kLaneFloats : 1;
+  const float* weights[B][kWeights];
+  for (int l = 0; l < B; ++l)
+    for (int e = 0; e < kWeights; ++e) {
+      const int c = std::min(c0 + l * kLaneFloats + e, d - 1);
+      weights[l][e] = att + static_cast<std::size_t>(c / hd) * ctx;
+    }
+  Lane acc[B] = {};
+  for (int j = 0; j < count; ++j) {
+    const float* vrow = values + static_cast<std::size_t>(j) * d + c0;
+    for (int l = 0; l < B; ++l) {
+      const float* vl = vrow + l * kLaneFloats;
+      if constexpr (kSplit) {
+        const int width = std::min(kLaneFloats, d - c0 - l * kLaneFloats);
+        Lane v = {}, w = {};
+        for (int e = 0; e < width; ++e) {
+          v[e] = vl[e];
+          w[e] = weights[l][e][j];
+        }
+        acc[l] += w * v;
+      } else {
+        Lane v;
+        std::memcpy(&v, vl, sizeof v);
+        acc[l] += weights[l][0][j] * v;
+      }
+    }
+  }
+  std::memcpy(out + c0, acc,
+              static_cast<std::size_t>(std::min(B * kLaneFloats, d - c0)) *
+                  sizeof(float));
+}
+
+// out[0, d) = probs·V over the row's `count` keys: full blocks of
+// kBlockLanes, one block of 4 lanes, then single lanes.
+template <bool kSplit>
+void probs_v(const float* att, int ctx, const float* values, int count,
+             int d, int hd, float* out) {
+  const int lanes = (d + kLaneFloats - 1) / kLaneFloats;
+  int l = 0;
+  for (; lanes - l >= kBlockLanes; l += kBlockLanes)
+    probs_v_block<kBlockLanes, kSplit>(att, ctx, values, count, d, hd, out,
+                                       l * kLaneFloats);
+  if (lanes - l >= 4) {
+    probs_v_block<4, kSplit>(att, ctx, values, count, d, hd, out,
+                             l * kLaneFloats);
+    l += 4;
+  }
+  for (; l < lanes; ++l)
+    probs_v_block<1, kSplit>(att, ctx, values, count, d, hd, out,
+                             l * kLaneFloats);
+}
+
+// One row's attention against its cache rows [0, count) at one layer:
+// every head's scores and softmax into att [h x ctx], then probs·V for the
+// whole row into out [d]. q is the row's rotated query [d]; keys and values
+// are the layer's cache [ctx x d].
+void attend_row(const float* q, const float* keys, const float* values,
+                int count, int d, int h, int ctx, float att_scale,
+                float* att, float* out) {
+  const int hd = d / h;
+  for (int head = 0; head < h; ++head) {
+    const float* qh = q + head * hd;
+    const float* kh = keys + head * hd;
+    float* scores = att + static_cast<std::size_t>(head) * ctx;
+    for (int j = 0; j < count; ++j) {
+      const float* krow = kh + static_cast<std::size_t>(j) * d;
+      float acc = 0.0f;
+      for (int c = 0; c < hd; ++c) acc += qh[c] * krow[c];
+      scores[j] = acc * att_scale;
+    }
+    nn::softmax(scores, scores, 1, count);
+  }
+  if (hd % kLaneFloats == 0)
+    probs_v<false>(att, ctx, values, count, d, hd, out);
+  else
+    probs_v<true>(att, ctx, values, count, d, hd, out);
+}
 
 StepScratch& step_scratch() {
   thread_local StepScratch scratch;
@@ -603,32 +706,16 @@ void Transformer::step(std::span<KvCache* const> caches,
                   d * sizeof(float));
     }
 
-    for_each_head(n, h, att_madds, [&](int s0, int s1) {
+    // One attention lane per row: all of a row's heads in one pass.
+    for_each_slot(n, att_madds, [&](int r0, int r1) {
       Vec& att = step_scratch().att;
-      att.resize(static_cast<std::size_t>(config_.ctx));
-      for (int slot = s0; slot < s1; ++slot) {
-        const int r = slot / h;
-        const int head = slot % h;
+      att.resize(static_cast<std::size_t>(h) * config_.ctx);
+      for (int r = r0; r < r1; ++r) {
         const KvCache& cache = *caches[static_cast<std::size_t>(r)];
-        const float* keys = cache.keys[li].data() + head * hd;
-        const float* values = cache.values[li].data() + head * hd;
-        const float* q =
-            s.qkv.data() + static_cast<std::size_t>(r) * 3 * d + head * hd;
-        const int count = cache.length + 1;
-        for (int j = 0; j < count; ++j) {
-          const float* krow = keys + static_cast<std::size_t>(j) * d;
-          float acc = 0.0f;
-          for (int c = 0; c < hd; ++c) acc += q[c] * krow[c];
-          att[static_cast<std::size_t>(j)] = acc * att_scale;
-        }
-        nn::softmax(att.data(), att.data(), 1, count);
-        float* out = s.mix.data() + static_cast<std::size_t>(r) * d + head * hd;
-        std::fill(out, out + hd, 0.0f);
-        for (int j = 0; j < count; ++j) {
-          const float w = att[static_cast<std::size_t>(j)];
-          const float* vrow = values + static_cast<std::size_t>(j) * d;
-          for (int c = 0; c < hd; ++c) out[c] += w * vrow[c];
-        }
+        attend_row(s.qkv.data() + static_cast<std::size_t>(r) * 3 * d,
+                   cache.keys[li].data(), cache.values[li].data(),
+                   cache.length + 1, d, h, config_.ctx, att_scale, att.data(),
+                   s.mix.data() + static_cast<std::size_t>(r) * d);
       }
     });
 

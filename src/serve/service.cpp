@@ -331,6 +331,9 @@ LintOutcome InferenceService::run_lint_gate(std::string_view snippet,
 //     complete-lines prefix its output is monotone: each recomputation
 //     extends the previous one and is a prefix of the final body.
 // The delta between successive stable prefixes is emitted as a chunk.
+// Since a token's bytes only extend the decoded tail, the stable prefix
+// can change only on the first token (which sends the name line) and on a
+// token whose bytes contain '\n'; on_token recomputes it only then.
 // finish() reconciles the cases where the final snippet diverges from
 // the streamed prefix (lint repair/rejection, fallback, deadline
 // salvage, empty generation) with a reset chunk carrying the
@@ -355,8 +358,12 @@ class InferenceService::StreamEmitter {
   // GenerateOptions::on_token target: runs on the decoding thread, once
   // per committed token, in order.
   void on_token(std::int32_t token) {
-    ids_.push_back(token);
-    std::string body = core::trim_generation(tokenizer_.decode(ids_));
+    const std::size_t tail = decoded_.size();
+    decoded_ += tokenizer_.decode(std::span<const std::int32_t>(&token, 1));
+    if (!emitted_.empty() &&
+        decoded_.find('\n', tail) == std::string::npos)
+      return;
+    std::string body = core::trim_generation(decoded_);
     body = core::truncate_to_first_task(body, indent_);
     std::string stable = name_line_ + body;
     if (stable.size() > emitted_.size() &&
@@ -391,7 +398,7 @@ class InferenceService::StreamEmitter {
   std::size_t indent_;
   bool token_streaming_;
   std::string name_line_;
-  std::vector<std::int32_t> ids_;
+  std::string decoded_;  // every committed token's bytes, in order
   std::string emitted_;
 };
 

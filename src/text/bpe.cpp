@@ -1,6 +1,7 @@
 #include "text/bpe.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <unordered_map>
 
@@ -19,6 +20,16 @@ constexpr TokenId byte_token(unsigned char b) {
 constexpr std::uint64_t pair_key(TokenId left, TokenId right) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(left)) << 32) |
          static_cast<std::uint32_t>(right);
+}
+
+// Token ids are non-negative, so no pair's key has its top bit set.
+constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
+
+// Home slot of `key` in a table of `slots` (a power of two): Fibonacci
+// hashing, the product's top bits.
+std::size_t slot_of(std::uint64_t key, std::size_t slots) {
+  const int bits = std::countr_zero(slots);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
 }
 
 }  // namespace
@@ -116,22 +127,32 @@ BpeTokenizer BpeTokenizer::train(std::string_view corpus,
     }
   }
 
-  tok.merge_rank_.reserve(tok.merges_.size());
-  for (std::size_t r = 0; r < tok.merges_.size(); ++r) {
-    tok.merge_rank_.emplace_back(
-        pair_key(tok.merges_[r].left, tok.merges_[r].right), r);
-  }
-  std::sort(tok.merge_rank_.begin(), tok.merge_rank_.end());
+  tok.index_merges();
   return tok;
 }
 
+void BpeTokenizer::index_merges() {
+  std::size_t slots = 16;
+  while (slots < 2 * merges_.size()) slots *= 2;
+  merge_rank_.assign(slots, RankSlot{kNoPair, 0});
+  for (std::size_t r = 0; r < merges_.size(); ++r) {
+    const std::uint64_t key = pair_key(merges_[r].left, merges_[r].right);
+    std::size_t i = slot_of(key, slots);
+    while (merge_rank_[i].key != kNoPair && merge_rank_[i].key != key)
+      i = (i + 1) & (slots - 1);
+    // A repeated pair keeps the slot its first (lowest) rank took.
+    if (merge_rank_[i].key == kNoPair) merge_rank_[i] = {key, r};
+  }
+}
+
 std::size_t BpeTokenizer::rank_of(TokenId left, TokenId right) const {
-  std::uint64_t key = pair_key(left, right);
-  auto it = std::lower_bound(
-      merge_rank_.begin(), merge_rank_.end(), key,
-      [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-  if (it != merge_rank_.end() && it->first == key) return it->second;
-  return static_cast<std::size_t>(-1);
+  const std::uint64_t key = pair_key(left, right);
+  const std::size_t mask = merge_rank_.size() - 1;
+  for (std::size_t i = slot_of(key, merge_rank_.size());;
+       i = (i + 1) & mask) {
+    if (merge_rank_[i].key == key) return merge_rank_[i].rank;
+    if (merge_rank_[i].key == kNoPair) return static_cast<std::size_t>(-1);
+  }
 }
 
 std::vector<TokenId> BpeTokenizer::encode_pretoken(
@@ -218,12 +239,7 @@ std::optional<BpeTokenizer> BpeTokenizer::deserialize(std::string_view data) {
     tok.merges_.push_back({left, right, result});
   }
   if (!reader.ok() || !reader.at_end()) return std::nullopt;
-  tok.merge_rank_.reserve(tok.merges_.size());
-  for (std::size_t r = 0; r < tok.merges_.size(); ++r) {
-    tok.merge_rank_.emplace_back(
-        pair_key(tok.merges_[r].left, tok.merges_[r].right), r);
-  }
-  std::sort(tok.merge_rank_.begin(), tok.merge_rank_.end());
+  tok.index_merges();
   return tok;
 }
 

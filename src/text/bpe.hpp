@@ -58,12 +58,20 @@ class BpeTokenizer {
   };
 
   std::vector<TokenId> encode_pretoken(std::string_view chunk) const;
+  // Builds merge_rank_ from merges_ (train() and deserialize() share it).
+  void index_merges();
 
   // vocab_[id] = byte string of the token ("" for specials).
   std::vector<std::string> vocab_;
   std::vector<Merge> merges_;
-  // rank lookup: key = (left << 32) | right, value = merge index.
-  std::vector<std::pair<std::uint64_t, std::size_t>> merge_rank_;
+  // Rank lookup, O(1) per adjacent pair: an open-addressing table of
+  // (key = (left << 32) | right, lowest merge index with that pair),
+  // power-of-two sized, linear probing, kNoPair marking empty slots.
+  struct RankSlot {
+    std::uint64_t key;
+    std::size_t rank;
+  };
+  std::vector<RankSlot> merge_rank_;
 
   std::size_t rank_of(TokenId left, TokenId right) const;
 };

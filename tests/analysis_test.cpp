@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,9 @@ const wa::Diagnostic* find_rule(const wa::AnalysisResult& result,
     if (d.rule == rule) return &d;
   return nullptr;
 }
+// The pointer would outlive a temporary result.
+const wa::Diagnostic* find_rule(wa::AnalysisResult&& result,
+                                std::string_view rule) = delete;
 
 bool has_rule(const wa::AnalysisResult& result, std::string_view rule) {
   return find_rule(result, rule) != nullptr;
@@ -454,7 +458,9 @@ wa::PlaybookIr ir_of(const std::string& text) {
   wisdom::yaml::ParseError err;
   auto doc = wisdom::yaml::parse_document(text, &err);
   EXPECT_TRUE(doc.has_value()) << err.message;
-  return doc ? wa::build_ir(*doc) : wa::PlaybookIr{};
+  return doc ? wa::build_ir(
+                   std::make_shared<const wisdom::yaml::Node>(std::move(*doc)))
+             : wa::PlaybookIr{};
 }
 
 bool has_edge(const wa::PlaybookIr& ir, std::size_t from, std::size_t to,
@@ -983,7 +989,8 @@ TEST(Typecheck, ChoiceTypoFixedToUniqueClosestOnly) {
       "  ansible.builtin.apt:\n"
       "    name: nginx\n"
       "    state: zzzzz\n";
-  const wa::Diagnostic* d = find_rule(wa::analyze(garbage), "param-value");
+  const auto result = wa::analyze(garbage);
+  const wa::Diagnostic* d = find_rule(result, "param-value");
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->fixable());
 }
@@ -1013,7 +1020,8 @@ TEST(Typecheck, UnknownParamRenameRefusedWhenTargetPresent) {
       "    name: nginx\n"
       "    state: present\n"
       "    stat: present\n";
-  const wa::Diagnostic* d = find_rule(wa::analyze(text), "unknown-param");
+  const auto result = wa::analyze(text);
+  const wa::Diagnostic* d = find_rule(result, "unknown-param");
   ASSERT_NE(d, nullptr);
   EXPECT_FALSE(d->fixable());
 }

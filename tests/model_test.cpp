@@ -1,7 +1,11 @@
+#include <gnu/libc-version.h>
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "model/checkpoint.hpp"
 #include "model/config.hpp"
@@ -537,4 +541,132 @@ TEST(Checkpoint, ContinuedTrainingFromCheckpoint) {
   float fresh_loss = wm::Transformer(cfg, 61).evaluate(x, y, 4, 8);
   EXPECT_NEAR(restored->evaluate(x, y, 4, 8), trained_loss, 1e-6);
   EXPECT_LT(trained_loss, fresh_loss * 0.5f);
+}
+
+// --- float identity ------------------------------------------------------------
+
+namespace {
+
+struct Fnv64 {
+  std::uint64_t hash = 1469598103934665603ull;
+  void add(const float* data, std::size_t n) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n * sizeof(float); ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  }
+  void add_kv(const wm::Transformer::KvCache& cache) {
+    const std::size_t rows =
+        static_cast<std::size_t>(cache.length) * cache.row_width;
+    for (const auto& k : cache.keys) add(k.data(), rows);
+    for (const auto& v : cache.values) add(v.data(), rows);
+  }
+};
+
+// decode_step over the model's full window on seeded tokens: every
+// step's logits, then every KV row.
+std::uint64_t decode_hash(const wm::Transformer& model) {
+  Rng rng(3);
+  Fnv64 fnv;
+  auto cache = model.make_cache();
+  for (int i = 0; i < model.config().ctx; ++i) {
+    auto logits = model.decode_step(
+        cache, static_cast<std::int32_t>(rng.uniform(
+                   static_cast<std::uint64_t>(model.config().vocab))));
+    fnv.add(logits.data(), logits.size());
+  }
+  fnv.add_kv(cache);
+  return fnv.hash;
+}
+
+// decode_step_batch at width 4, rows starting at staggered positions,
+// until every row fills the window.
+std::uint64_t batch_hash(const wm::Transformer& model) {
+  const auto& cfg = model.config();
+  Rng rng(5);
+  auto token = [&] {
+    return static_cast<std::int32_t>(
+        rng.uniform(static_cast<std::uint64_t>(cfg.vocab)));
+  };
+  std::vector<wm::Transformer::KvCache> caches;
+  for (int r = 0; r < 4; ++r) {
+    caches.push_back(model.make_cache());
+    for (int i = 0; i < 5 * r; ++i) model.decode_step(caches.back(), token());
+  }
+  Fnv64 fnv;
+  for (;;) {
+    std::vector<wm::Transformer::KvCache*> rows;
+    std::vector<std::int32_t> tokens;
+    for (auto& cache : caches) {
+      if (cache.length == cfg.ctx) continue;
+      rows.push_back(&cache);
+      tokens.push_back(token());
+    }
+    if (rows.empty()) break;
+    model.decode_step_batch(rows, tokens);
+    for (const auto* row : rows) fnv.add(row->logits.data(), row->logits.size());
+  }
+  for (const auto& cache : caches) fnv.add_kv(cache);
+  return fnv.hash;
+}
+
+}  // namespace
+
+// The goldens pin tokens; this pins the floats. Hashes of decode logits
+// and KV rows, recorded in a portable (-DWISDOM_NATIVE=OFF) Release build
+// with the compiler and glibc named below. Only such a build asserts
+// them: native builds differ by FMA and vector width, Debug builds by
+// vectorization, and another compiler or libm may round differently.
+// Elsewhere the test skips and prints what it computed.
+TEST(FloatIdentity, DecodeLogitsAndKvRowsMatchRecordedHashes) {
+  constexpr const char* kCompiler = "12.2.0";
+  constexpr const char* kGlibc = "2.36";
+  struct Case {
+    std::string name;
+    std::uint64_t expected;
+    std::uint64_t actual = 0;
+  };
+  std::vector<Case> cases = {
+      {"350M", 0xeb7778200e2ad422ull},
+      {"2.7B", 0x8b6bb1e49f62b493ull},
+      {"6B", 0x2a4f691b38648f1bull},
+      {"175B", 0x83a14e2a4c0b7e44ull},
+      {"golden", 0x6a7c3c22ab473eaeull},
+      {"350M batch4", 0xf34a1ab74a03553full},
+  };
+  const wm::SizeClass sizes[] = {wm::SizeClass::S350M, wm::SizeClass::M2_7B,
+                                 wm::SizeClass::L6B, wm::SizeClass::XL175B};
+  for (int i = 0; i < 4; ++i)
+    cases[static_cast<std::size_t>(i)].actual =
+        decode_hash(wm::Transformer(wm::config_for(sizes[i], 512, 96), 11));
+  auto golden = wm::load_checkpoint_file_ex(std::string(WISDOM_GOLDEN_DIR) +
+                                            "/model.ckpt");
+  ASSERT_TRUE(golden.ok()) << golden.message;
+  cases[4].actual = decode_hash(*golden.model);
+  cases[5].actual = batch_hash(
+      wm::Transformer(wm::config_for(wm::SizeClass::S350M, 512, 96), 11));
+
+  std::string computed;
+  char line[64];
+  for (const Case& c : cases) {
+    std::snprintf(line, sizeof line, "  %-12s 0x%016llx\n", c.name.c_str(),
+                  static_cast<unsigned long long>(c.actual));
+    computed += line;
+  }
+  const bool recorded_build =
+      std::string(WISDOM_BUILD_TYPE) == "Release" && !WISDOM_NATIVE_BUILD &&
+      std::string(WISDOM_EXTRA_CXX_FLAGS).empty() &&
+      std::string(__VERSION__) == kCompiler &&
+      std::string(gnu_get_libc_version()) == kGlibc;
+  if (!recorded_build)
+    GTEST_SKIP() << "hashes are recorded for a portable Release build with g++ "
+                 << kCompiler << " and glibc " << kGlibc << "; this is a "
+                 << WISDOM_BUILD_TYPE
+                 << (WISDOM_NATIVE_BUILD ? " native" : " portable")
+                 << " build with g++ " << __VERSION__ << " and glibc "
+                 << gnu_get_libc_version() << ". Computed:\n"
+                 << computed;
+  for (const Case& c : cases)
+    EXPECT_EQ(c.actual, c.expected) << c.name << "; computed:\n" << computed;
 }

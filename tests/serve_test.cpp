@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/postprocess.hpp"
 #include "core/trainer.hpp"
 #include "data/packing.hpp"
+#include "model/checkpoint.hpp"
 #include "serve/fault.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
@@ -368,4 +374,130 @@ TEST(ServiceBatch, FaultInjectionMatchesSequential) {
       EXPECT_EQ(responses[i].error, ws::ServiceError::DeadlineExceeded);
     }
   }
+}
+
+namespace {
+
+// What a stream delivers: (text, reset) per sink call.
+using Chunks = std::vector<std::pair<std::string, bool>>;
+
+// The stream computed the slow way: the same greedy decode the service
+// runs, with the stable prefix (trim + truncate over every token decoded
+// so far) recomputed after every token, then settled against the final
+// snippet as suggest_stream's finish() settles it.
+Chunks per_token_reference(const wm::Transformer& model,
+                           const wt::BpeTokenizer& tokenizer,
+                           const ws::SuggestionRequest& request,
+                           int max_new_tokens,
+                           const wisdom::util::Deadline& deadline,
+                           const std::string& final_snippet) {
+  const auto indent = static_cast<std::size_t>(request.indent);
+  const std::string name_line =
+      std::string(indent, ' ') + "- name: " + request.prompt + "\n";
+  Chunks chunks;
+  std::string emitted;
+  std::vector<std::int32_t> ids;
+  wm::Transformer::GenerateOptions gen;
+  gen.max_new_tokens = max_new_tokens;
+  gen.stop_token = wt::BpeTokenizer::kEndOfText;
+  gen.deadline = deadline;
+  gen.on_token = [&](std::int32_t token) {
+    ids.push_back(token);
+    const std::string stable =
+        name_line + wc::truncate_to_first_task(
+                        wc::trim_generation(tokenizer.decode(ids)), indent);
+    if (stable.size() > emitted.size() &&
+        stable.compare(0, emitted.size(), emitted) == 0) {
+      chunks.emplace_back(stable.substr(emitted.size()), false);
+      emitted = stable;
+    }
+  };
+  model.generate(tokenizer.encode(request.context + name_line), gen);
+  if (final_snippet.size() >= emitted.size() &&
+      final_snippet.compare(0, emitted.size(), emitted) == 0) {
+    if (final_snippet.size() > emitted.size())
+      chunks.emplace_back(final_snippet.substr(emitted.size()), false);
+  } else {
+    chunks.emplace_back(final_snippet, true);
+  }
+  return chunks;
+}
+
+}  // namespace
+
+// The emitter recomputes its stable prefix only on the first token and on
+// tokens whose bytes hold a '\n'. Its chunk texts and reset flags must
+// equal a recomputation after every token: over the serving benchmark's
+// checkpoint and an untrained model, lint repair on and off, and deadline
+// cuts (fallback and salvage settle with resets).
+TEST(Stream, ChunksMatchPerTokenRecomputation) {
+  auto checkpoint = wm::load_checkpoint_file_ex(WISDOM_SERVED_CKPT);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.message;
+  const auto served_tokenizer =
+      wt::BpeTokenizer::deserialize(checkpoint.tokenizer);
+  ASSERT_TRUE(served_tokenizer.has_value());
+  const wt::BpeTokenizer untrained_tokenizer =
+      wisdom::testutil::serving_tokenizer();
+  const wm::Transformer untrained =
+      wisdom::testutil::serving_model(untrained_tokenizer);
+  struct Served {
+    const wm::Transformer& model;
+    const wt::BpeTokenizer& tokenizer;
+  };
+  const Served served[] = {{*checkpoint.model, *served_tokenizer},
+                           {untrained, untrained_tokenizer}};
+  std::size_t multi_line_streams = 0, resets = 0;
+  for (const Served& s : served) {
+    for (ws::LintPolicy policy :
+         {ws::LintPolicy::Off, ws::LintPolicy::Repair}) {
+      for (int extra_checks : {-1, 4, 14}) {
+        for (const char* prompt : {"Install nginx", "Install redis",
+                                   "Start the git service"}) {
+          for (int indent : {0, 4}) {
+            ws::SuggestionRequest request;
+            request.prompt = prompt;
+            request.indent = indent;
+            if (indent > 0) request.context = "- hosts: all\n  tasks:\n";
+            ws::FaultInjector faults;
+            ws::ServiceOptions options;
+            options.lint_policy = policy;
+            options.faults = &faults;
+            // A check budget of the prompt's prefill plus a few decode
+            // steps: deterministic deadline cuts.
+            const std::string name_line = std::string(indent, ' ') +
+                                          "- name: " + prompt + "\n";
+            const auto prompt_tokens = static_cast<std::int64_t>(
+                s.tokenizer.encode(request.context + name_line).size());
+            if (extra_checks >= 0)
+              faults.set_slow_decode_after_tokens(prompt_tokens +
+                                                  extra_checks);
+            const wisdom::util::Deadline deadline =
+                faults.slow_decode_active() ? faults.slow_decode_deadline()
+                                            : wisdom::util::Deadline();
+            ws::InferenceService service(s.model, s.tokenizer, options);
+            Chunks chunks;
+            const auto response = service.suggest_stream(
+                request, [&](std::string_view text, bool reset) {
+                  chunks.emplace_back(std::string(text), reset);
+                });
+            EXPECT_EQ(chunks, per_token_reference(s.model, s.tokenizer,
+                                                  request,
+                                                  options.max_new_tokens,
+                                                  deadline, response.snippet))
+                << prompt << " indent " << indent << " checks "
+                << extra_checks;
+            std::size_t lines = 0;
+            for (const auto& chunk : chunks) {
+              resets += chunk.second;
+              if (!chunk.second) ++lines;
+            }
+            multi_line_streams += lines >= 3;
+          }
+        }
+      }
+    }
+  }
+  // Both settling paths ran: streams of several deltas, and resets.
+  EXPECT_GT(multi_line_streams, 0u);
+  EXPECT_GT(resets, 0u);
 }

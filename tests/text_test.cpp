@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "data/ansible_gen.hpp"
 #include "text/bpe.hpp"
 #include "text/ngram.hpp"
 #include "text/tokenize.hpp"
@@ -23,6 +27,58 @@ const std::string kYamlCorpus =
     "  ansible.builtin.apt:\n"
     "    name: postgresql\n"
     "    state: present\n";
+
+// The tokenizer's merges, in rank order, read back from its serialized
+// form: u32 magic, u64 count, then (left, right) u32 pairs.
+std::vector<std::pair<wt::TokenId, wt::TokenId>> merges_of(
+    const wt::BpeTokenizer& tok) {
+  const std::string blob = tok.serialize();
+  auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int b = 3; b >= 0; --b)
+      v = (v << 8) | static_cast<unsigned char>(blob[at + b]);
+    return v;
+  };
+  std::vector<std::pair<wt::TokenId, wt::TokenId>> merges;
+  for (std::size_t at = 12; at + 8 <= blob.size(); at += 8)
+    merges.emplace_back(static_cast<wt::TokenId>(u32_at(at)),
+                        static_cast<wt::TokenId>(u32_at(at + 4)));
+  return merges;
+}
+
+// Plain BPE: per pre-token, start from bytes and apply the lowest-rank
+// merge present (its leftmost occurrence) until none applies. A pair's
+// rank is its first index in the merge list; merge r yields token
+// 258 + r.
+std::vector<wt::TokenId> reference_encode(
+    const std::vector<std::pair<wt::TokenId, wt::TokenId>>& merges,
+    std::string_view text) {
+  std::vector<wt::TokenId> out;
+  for (std::string_view chunk : wt::pretokenize(text)) {
+    std::vector<wt::TokenId> ids;
+    for (unsigned char c : chunk)
+      ids.push_back(wt::BpeTokenizer::kSpecialCount + c);
+    for (;;) {
+      std::size_t best_rank = merges.size(), best_pos = 0;
+      for (std::size_t i = 0; i + 1 < ids.size(); ++i) {
+        for (std::size_t r = 0; r < best_rank; ++r) {
+          if (merges[r] == std::make_pair(ids[i], ids[i + 1])) {
+            best_rank = r;
+            best_pos = i;
+            break;
+          }
+        }
+      }
+      if (best_rank == merges.size()) break;
+      ids[best_pos] = static_cast<wt::TokenId>(
+          wt::BpeTokenizer::kSpecialCount + 256 + best_rank);
+      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(best_pos) + 1);
+    }
+    out.insert(out.end(), ids.begin(), ids.end());
+  }
+  return out;
+}
+
 }  // namespace
 
 // --- pretokenize -----------------------------------------------------------
@@ -117,6 +173,42 @@ TEST(Bpe, DeserializeRejectsGarbage) {
   std::string data = tok.serialize();
   data.resize(data.size() / 2);
   EXPECT_FALSE(wt::BpeTokenizer::deserialize(data).has_value());
+}
+
+// Round trips hold for any segmentation, so this pins the segmentation
+// itself: encode() must pick the same merges as plain lowest-rank-first
+// BPE on generated Ansible text it was not trained on.
+TEST(Bpe, EncodeMatchesLowestRankFirstReference) {
+  wisdom::data::AnsibleGenerator train_gen(wisdom::util::Rng(5));
+  std::string corpus;
+  for (int i = 0; i < 20; ++i) corpus += train_gen.playbook_text(4);
+  auto tok = wt::BpeTokenizer::train(corpus, 600);
+  const auto merges = merges_of(tok);
+  ASSERT_EQ(merges.size(), tok.merge_count());
+
+  wisdom::data::AnsibleGenerator gen(wisdom::util::Rng(17));
+  for (int i = 0; i < 40; ++i) {
+    const std::string text = i % 2 ? gen.playbook_text(3)
+                                   : gen.role_tasks_text(2);
+    EXPECT_EQ(tok.encode(text), reference_encode(merges, text)) << text;
+  }
+}
+
+// A serialized merge list may repeat a pair; its first (lowest) rank wins,
+// so the later duplicate never applies.
+TEST(Bpe, RepeatedMergeKeepsLowestRank) {
+  auto tok = wt::BpeTokenizer::train(kYamlCorpus, 300);
+  std::string blob = tok.serialize();
+  const std::string first_pair = blob.substr(12, 8);
+  // Append a copy of merge 0 and bump the count.
+  blob += first_pair;
+  blob[4] = static_cast<char>(static_cast<unsigned char>(blob[4]) + 1);
+  auto repeated = wt::BpeTokenizer::deserialize(blob);
+  ASSERT_TRUE(repeated.has_value());
+  EXPECT_EQ(repeated->merge_count(), tok.merge_count() + 1);
+  EXPECT_EQ(repeated->encode(kYamlCorpus), tok.encode(kYamlCorpus));
+  EXPECT_EQ(repeated->encode(kYamlCorpus),
+            reference_encode(merges_of(*repeated), kYamlCorpus));
 }
 
 TEST(Bpe, VocabSizeHonored) {
