@@ -2,32 +2,35 @@
 // the epoll front end in src/net/. Serves POST /v1/suggest, POST
 // /v1/suggest/stream (SSE), GET /v1/metrics, GET /v1/healthz, and POST
 // /v1/admin/drain (loopback-only) against the full serving stack —
-// admission queue, circuit breaker, caches, lint gate — configured from
-// the command line.
+// admission queue, deadlines, fallback, caches, lint gate — configured
+// from the command line.
 //
 // Usage:
-//   ./build/examples/wisdom_serve --port 8080            # full 350M model
-//   ./build/examples/wisdom_serve --tiny --port 8080     # seconds-to-start
-//       micro model (CI / smoke tests; same serving stack, toy suggestions)
+//   ./build/examples/wisdom_serve --port 8080                    # 350M
+//   ./build/examples/wisdom_serve --port 8080 --checkpoint PATH
+// A checkpoint (such as bench/serving/model.ckpt, the model the serving
+// benchmark measures) embeds its tokenizer and loads in milliseconds.
 //
 // SIGINT/SIGTERM drain gracefully: healthz flips to 503, in-flight
 // requests (streams included) run to completion, the final metrics flush
 // is printed, and the process exits 0.
 #include <charconv>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
-#include "core/trainer.hpp"
-#include "data/packing.hpp"
+#include "model/checkpoint.hpp"
 #include "net/server.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
@@ -43,75 +46,46 @@ namespace {
 volatile std::sig_atomic_t g_shutdown = 0;
 void on_signal(int) { g_shutdown = 1; }
 
-// The tests' micro-model recipe: a ~2s training run over apt-install
-// samples, enough for the serving stack to produce schema-correct
-// suggestions without the minutes-long 350M pipeline. CI's http-e2e job
-// runs against this.
-struct TinyModel {
-  text::BpeTokenizer tokenizer;
-  model::Transformer model;
-
-  TinyModel()
-      : tokenizer(text::BpeTokenizer::train(
-            "- name: Install nginx\n"
-            "  ansible.builtin.apt:\n"
-            "    name: nginx\n"
-            "    state: present\n",
-            300)),
-        model(config(), 21) {
-    std::vector<std::string> texts;
-    const char* pkgs[] = {"nginx", "redis", "git", "curl", "vim",
-                          "htop", "jq", "wget"};
-    for (int rep = 0; rep < 12; ++rep) {
-      for (const char* pkg : pkgs) {
-        texts.push_back(std::string("- name: Install ") + pkg +
-                        "\n  ansible.builtin.apt:\n    name: " + pkg +
-                        "\n    state: present\n");
-      }
-    }
-    auto set = data::pack_samples(tokenizer, texts, 48);
-    core::TrainConfig tc;
-    tc.epochs = 30;
-    tc.micro_batch = 4;
-    tc.grad_accum = 1;
-    tc.lr = 3e-3f;
-    core::train_model(model, set, nullptr, tc);
+// Parses the whole of `value` as a finite number in [lo, hi]. Trailing
+// characters, a non-number, NaN or infinity, or a value out of range
+// fail, so a typo ends at the usage text instead of serving with some
+// other value.
+template <typename T>
+bool parse_number(const char* value, T lo, T hi, T* out) {
+  const char* end = value + std::strlen(value);
+  T parsed{};
+  auto result = std::from_chars(value, end, parsed);
+  if (result.ec != std::errc() || result.ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
   }
-
-  model::ModelConfig config() const {
-    model::ModelConfig cfg;
-    cfg.vocab = static_cast<int>(tokenizer.vocab_size());
-    cfg.ctx = 48;
-    cfg.d_model = 24;
-    cfg.n_head = 2;
-    cfg.n_layer = 2;
-    cfg.d_ff = 48;
-    return cfg;
-  }
-};
+  if (parsed < lo || parsed > hi) return false;
+  *out = parsed;
+  return true;
+}
 
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [options]\n"
       "  --host H                bind address (default 127.0.0.1)\n"
-      "  --port N                bind port (default 8080; 0 = ephemeral)\n"
-      "  --workers N             HTTP worker threads (default 4)\n"
-      "  --threads N             compute thread-pool size (default: cores)\n"
-      "  --tiny                  train the seconds-to-start micro model\n"
+      "  --port N                bind port, 0-65535 (default 8080; 0 = any)\n"
+      "  --workers N             HTTP worker threads, 1-1024 (default 4)\n"
+      "  --threads N             compute threads, 0-1024 (default 0 = cores)\n"
+      "  --checkpoint PATH       serve a checkpoint (default: the 350M model)\n"
       "  --admin-any-peer        allow /v1/admin/drain from any peer\n"
       "service options:\n"
       "  --max-new-tokens N      decode budget per request, >= 1 (default 56)\n"
-      "  --beam-width N          >1 decodes with beam search (default 1)\n"
-      "  --beam-length-penalty P beam length normalization (default 0.6)\n"
-      "  --deadline-ms MS        per-request decode deadline (default off)\n"
-      "  --queue-capacity N      admission queue bound (default off)\n"
+      "  --beam-width N          >= 1; above 1 decodes with beam search\n"
+      "  --beam-length-penalty X length normalization, >= 0 (default 0.6)\n"
+      "  --deadline-ms MS        per-request decode deadline, >= 0 (0 = off)\n"
+      "  --queue-capacity N      admission queue bound, >= 0 (0 = off)\n"
       "  --shed-policy P         reject | degrade (default reject)\n"
       "  --no-fallback           disable the deterministic fallback\n"
       "  --lint-policy P         off | annotate | repair | reject\n"
       "  --prefix-cache          enable the prefix KV cache\n"
       "  --response-cache        enable the response memo\n"
-      "  --breaker               enable the admission circuit breaker\n",
+      "Numbers must parse whole: N is an integer, X and MS finite reals.\n",
       argv0);
   return 2;
 }
@@ -125,7 +99,7 @@ int main(int argc, char** argv) {
   server_options.port = 8080;
   server_options.worker_threads = 4;
   serve::ServiceOptions service_options;
-  bool tiny = false;
+  std::string checkpoint;
   int threads = 0;
 
   auto next_value = [&](int& i) -> const char* {
@@ -136,38 +110,45 @@ int main(int argc, char** argv) {
     return argv[++i];
   };
 
+  // Every numeric flag must parse whole, finite and inside the range the
+  // usage text documents; a port out of range would otherwise wrap into
+  // some other port, and "4x" or "5ms" would serve as 4 or 5.
+  auto int_value = [&](int& i, int lo, int hi) {
+    int value = 0;
+    if (!parse_number(next_value(i), lo, hi, &value))
+      std::exit(usage(argv[0]));
+    return value;
+  };
+  auto real_value = [&](int& i, double hi) {
+    double value = 0.0;
+    if (!parse_number(next_value(i), 0.0, hi, &value))
+      std::exit(usage(argv[0]));
+    return value;
+  };
+
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--host") server_options.host = next_value(i);
-    else if (arg == "--port") {
-      // A whole number in [0, 65535]; anything else would wrap into some
-      // other port instead of failing.
-      const char* value = next_value(i);
-      const char* end = value + std::strlen(value);
-      int port = -1;
-      auto parsed = std::from_chars(value, end, port);
-      if (parsed.ec != std::errc() || parsed.ptr != end || port < 0 ||
-          port > 65535)
-        return usage(argv[0]);
-      server_options.port = static_cast<std::uint16_t>(port);
-    } else if (arg == "--workers")
-      server_options.worker_threads = std::atoi(next_value(i));
-    else if (arg == "--threads") threads = std::atoi(next_value(i));
-    else if (arg == "--tiny") tiny = true;
+    else if (arg == "--port")
+      server_options.port = static_cast<std::uint16_t>(int_value(i, 0, 65535));
+    else if (arg == "--workers")
+      server_options.worker_threads = int_value(i, 1, 1024);
+    else if (arg == "--threads") threads = int_value(i, 0, 1024);
+    else if (arg == "--checkpoint") checkpoint = next_value(i);
     else if (arg == "--admin-any-peer")
       server_options.admin_loopback_only = false;
-    else if (arg == "--max-new-tokens") {
-      service_options.max_new_tokens = std::atoi(next_value(i));
-      if (service_options.max_new_tokens < 1) return usage(argv[0]);
-    } else if (arg == "--beam-width")
-      service_options.beam_width = std::atoi(next_value(i));
+    else if (arg == "--max-new-tokens")
+      service_options.max_new_tokens = int_value(i, 1, INT_MAX);
+    else if (arg == "--beam-width")
+      service_options.beam_width = int_value(i, 1, INT_MAX);
     else if (arg == "--beam-length-penalty")
-      service_options.beam_length_penalty =
-          static_cast<float>(std::atof(next_value(i)));
+      service_options.beam_length_penalty = static_cast<float>(
+          real_value(i, std::numeric_limits<float>::max()));
     else if (arg == "--deadline-ms")
-      service_options.deadline_ms = std::atof(next_value(i));
+      service_options.deadline_ms =
+          real_value(i, std::numeric_limits<double>::max());
     else if (arg == "--queue-capacity")
-      service_options.queue_capacity = std::atoi(next_value(i));
+      service_options.queue_capacity = int_value(i, 0, INT_MAX);
     else if (arg == "--shed-policy") {
       std::string policy = next_value(i);
       if (policy == "reject")
@@ -191,24 +172,33 @@ int main(int argc, char** argv) {
       service_options.prefix_cache_enabled = true;
     else if (arg == "--response-cache")
       service_options.response_cache_enabled = true;
-    else if (arg == "--breaker") service_options.breaker_enabled = true;
     else return usage(argv[0]);
   }
 
   if (threads > 0) util::ThreadPool::set_global_threads(threads);
 
-  // Model selection: the micro model trains in seconds; the 350M model
-  // loads from the checkpoint cache (or trains on first run).
-  std::unique_ptr<TinyModel> tiny_model;
+  // Model selection: a checkpoint loads with the tokenizer it embeds; the
+  // 350M model loads from the pipeline's checkpoint cache (or trains on
+  // first run).
+  std::optional<model::Transformer> served_model;
+  std::optional<text::BpeTokenizer> checkpoint_tokenizer;
   std::unique_ptr<core::Pipeline> pipeline;
-  std::optional<model::Transformer> full_model;
-  const model::Transformer* model = nullptr;
   const text::BpeTokenizer* tokenizer = nullptr;
-  if (tiny) {
-    std::fprintf(stderr, "training the tiny model (~seconds)...\n");
-    tiny_model = std::make_unique<TinyModel>();
-    model = &tiny_model->model;
-    tokenizer = &tiny_model->tokenizer;
+  if (!checkpoint.empty()) {
+    model::LoadResult loaded = model::load_checkpoint_file_ex(checkpoint);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "cannot load checkpoint %s: %s\n",
+                   checkpoint.c_str(), loaded.message.c_str());
+      return 1;
+    }
+    checkpoint_tokenizer = text::BpeTokenizer::deserialize(loaded.tokenizer);
+    if (!checkpoint_tokenizer) {
+      std::fprintf(stderr, "checkpoint %s has no tokenizer blob\n",
+                   checkpoint.c_str());
+      return 1;
+    }
+    served_model = std::move(loaded.model);
+    tokenizer = &*checkpoint_tokenizer;
   } else {
     std::fprintf(stderr,
                  "loading / training Wisdom-Ansible-Multi (cached after "
@@ -217,22 +207,21 @@ int main(int argc, char** argv) {
         std::make_unique<core::Pipeline>(bench::default_pipeline_config(argv[0]));
     tokenizer = &pipeline->tokenizer();
     core::Pipeline::FinetuneOptions opts;
-    full_model.emplace(pipeline->finetuned(
+    served_model.emplace(pipeline->finetuned(
         core::PretrainMix::WisdomAnsibleMulti, model::SizeClass::S350M, opts));
-    model = &*full_model;
   }
 
-  serve::InferenceService service(*model, *tokenizer, service_options);
+  serve::InferenceService service(*served_model, *tokenizer, service_options);
   net::HttpServer server(service, server_options);
   if (!server.start()) {
     std::fprintf(stderr, "failed to bind %s:%u\n", server_options.host.c_str(),
                  static_cast<unsigned>(server_options.port));
     return 1;
   }
-  std::printf("wisdom_serve listening on http://%s:%u/v1 (%s model)\n",
+  std::printf("wisdom_serve listening on http://%s:%u/v1 (%s)\n",
               server_options.host.c_str(),
               static_cast<unsigned>(server.port()),
-              tiny ? "tiny" : "350M");
+              checkpoint.empty() ? "350M model" : checkpoint.c_str());
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);

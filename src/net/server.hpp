@@ -8,7 +8,7 @@
 //   * Model work never runs on the loop thread. A parsed /v1/suggest,
 //     /v1/suggest/stream, or /v1/admin/drain request is handed to a small
 //     worker pool; the worker runs the service call (admission queue,
-//     breaker — the existing serving stack, unchanged) and
+//     deadline, fallback — the existing serving stack, unchanged) and
 //     posts the finished response, or each streaming chunk, back to the
 //     loop through EventLoop::post() (eventfd wakeup). Cheap endpoints
 //     (healthz, metrics) answer inline on the loop thread.

@@ -16,8 +16,6 @@ int http_status(ServiceError error) {
     case ServiceError::DeadlineExceeded: return 408;
     case ServiceError::LintRejected: return 422;
     case ServiceError::Overloaded: return 429;
-    case ServiceError::GenerateFailed: return 500;
-    case ServiceError::CircuitOpen: return 503;
     case ServiceError::Draining: return 503;
   }
   return 500;

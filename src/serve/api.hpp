@@ -8,15 +8,13 @@
 //   DeadlineExceeded -> 408  (decode cut off by the request deadline)
 //   LintRejected     -> 422  (snippet refused by the reject-degraded gate)
 //   Overloaded       -> 429  (shed by the bounded admission queue)
-//   GenerateFailed   -> 500  (model failure)
-//   CircuitOpen      -> 503  (short-circuited by the admission breaker)
 //   Draining         -> 503  (the service is draining or stopped)
 //
 // A response with ok=true maps to 200 regardless of its error field: a
-// degraded response (fallback-served after a deadline miss, degrade-newest
-// shedding, an open breaker with the fallback enabled) is still a served
-// suggestion — the JSON body carries `degraded` and `error` so clients can
-// tell. Only refusals (ok=false) surface the table above as the status.
+// degraded response (salvaged or fallback-served after a deadline miss,
+// degrade-newest shedding) is still a served suggestion — the JSON body
+// carries `degraded` and `error` so clients can tell. Only refusals
+// (ok=false) surface the table above as the status.
 #pragma once
 
 #include <cstdint>

@@ -11,6 +11,11 @@
 // the lifetime of an admitted request and released when its response is
 // produced. try_acquire is lock-free and never blocks — on a full queue the
 // caller sheds immediately (reject-newest).
+//
+// It is the first rung of the service's one overload ladder: admission
+// here (with its ShedPolicy), then the per-request deadline with its
+// lint-gated salvage, then the deterministic FallbackSuggester, and drain
+// when the service goes away. Nothing else refuses or short-cuts work.
 #pragma once
 
 #include <atomic>

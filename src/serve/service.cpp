@@ -29,9 +29,7 @@ std::string_view service_error_name(ServiceError error) {
     case ServiceError::InvalidRequest: return "invalid-request";
     case ServiceError::Overloaded: return "overloaded";
     case ServiceError::DeadlineExceeded: return "deadline-exceeded";
-    case ServiceError::GenerateFailed: return "generate-failed";
     case ServiceError::LintRejected: return "lint-rejected";
-    case ServiceError::CircuitOpen: return "circuit-open";
     case ServiceError::Draining: return "draining";
   }
   return "none";
@@ -41,8 +39,7 @@ bool service_error_from_name(std::string_view name, ServiceError* out) {
   for (ServiceError e :
        {ServiceError::None, ServiceError::InvalidRequest,
         ServiceError::Overloaded, ServiceError::DeadlineExceeded,
-        ServiceError::GenerateFailed, ServiceError::LintRejected,
-        ServiceError::CircuitOpen, ServiceError::Draining}) {
+        ServiceError::LintRejected, ServiceError::Draining}) {
     if (service_error_name(e) == name) {
       *out = e;
       return true;
@@ -173,27 +170,9 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.cache_response_entries = &registry_.gauge(
       "wisdom_cache_response_entries",
       "Responses currently memoized.");
-  // Overload-resilience families: breaker, drain. Registered
-  // unconditionally (like every family above) so the exposition and the
-  // CI smoke grep see them at 0 whatever the configuration.
-  h_.breaker_state = &registry_.gauge(
-      "wisdom_breaker_state",
-      "Circuit-breaker state: 0 closed, 1 open, 2 half-open.");
-  h_.breaker_opened = &registry_.counter(
-      "wisdom_breaker_opened_total",
-      "Times the breaker tripped open on window failure rate.");
-  h_.breaker_closed = &registry_.counter(
-      "wisdom_breaker_closed_total",
-      "Times a successful probe cycle closed the breaker.");
-  h_.breaker_short_circuit = &registry_.counter(
-      "wisdom_breaker_short_circuit_total",
-      "Arrivals answered from the fallback by the open breaker.");
-  h_.breaker_probes = &registry_.counter(
-      "wisdom_breaker_probes_total",
-      "Probe requests admitted while half-open.");
-  h_.breaker_failures = &registry_.counter(
-      "wisdom_breaker_failures_recorded_total",
-      "Failure outcomes recorded into the breaker window.");
+  // Lifecycle families. Registered unconditionally (like every family
+  // above) so the exposition and the CI smoke grep see them at 0 whatever
+  // the configuration.
   h_.drain_state = &registry_.gauge(
       "wisdom_drain_state",
       "Service lifecycle: 0 accepting, 1 draining, 2 stopped.");
@@ -203,18 +182,6 @@ InferenceService::InferenceService(const model::Transformer& model,
   h_.drain_completed = &registry_.counter(
       "wisdom_drain_completed_total",
       "Completed drains (in-flight ran dry after begin_drain).");
-
-  if (options_.breaker_enabled) {
-    BreakerMetrics breaker_metrics;
-    breaker_metrics.state = h_.breaker_state;
-    breaker_metrics.opened = h_.breaker_opened;
-    breaker_metrics.closed = h_.breaker_closed;
-    breaker_metrics.short_circuited = h_.breaker_short_circuit;
-    breaker_metrics.probes = h_.breaker_probes;
-    breaker_metrics.failures_recorded = h_.breaker_failures;
-    breaker_ =
-        std::make_unique<CircuitBreaker>(options_.breaker, breaker_metrics);
-  }
 
   if (options_.prefix_cache_enabled) {
     PrefixCacheOptions cache_options;
@@ -429,14 +396,6 @@ SuggestionResponse InferenceService::run_one(
     }
   }
 
-  if (options_.faults && options_.faults->take_generate_failure()) {
-    response.error = ServiceError::GenerateFailed;
-    if (options_.fallback_enabled)
-      apply_fallback(request, trace, &response);
-    response.latency_ms = elapsed_ms(start);
-    return response;
-  }
-
   std::vector<std::int32_t> ids;
   {
     auto tokenize_span = trace.span("tokenize");
@@ -587,36 +546,6 @@ SuggestionResponse InferenceService::run_shed(
   return response;
 }
 
-SuggestionResponse InferenceService::run_short_circuit(
-    const SuggestionRequest& request, obs::TraceContext& trace) const {
-  auto start = std::chrono::steady_clock::now();
-  SuggestionResponse response;
-  response.error = ServiceError::CircuitOpen;
-  // The whole point of the open breaker: answer immediately from the
-  // deterministic fallback without spending a queue slot or decode budget
-  // on a backend that is currently failing.
-  if (options_.fallback_enabled && !request.prompt.empty() &&
-      request.indent >= 0) {
-    apply_fallback(request, trace, &response);
-  }
-  response.latency_ms = elapsed_ms(start);
-  return response;
-}
-
-void InferenceService::breaker_record(const SuggestionResponse& response) {
-  if (!breaker_) return;
-  // Failures are the outcomes that predict the next request will also
-  // burn budget for nothing: deadline misses, model failures, shedding.
-  // Client errors (invalid request) and lint rejections say nothing about
-  // backend health. An armed poison_breaker fault overrides the verdict.
-  bool failure = response.error == ServiceError::DeadlineExceeded ||
-                 response.error == ServiceError::GenerateFailed ||
-                 response.error == ServiceError::Overloaded;
-  if (options_.faults && options_.faults->take_breaker_poison())
-    failure = true;
-  breaker_->record(failure);
-}
-
 void InferenceService::observe_stages(const obs::Trace& trace) const {
   for (const obs::Span& span : trace.spans) {
     obs::Histogram* histogram = nullptr;
@@ -633,7 +562,7 @@ void InferenceService::observe_stages(const obs::Trace& trace) const {
 }
 
 SuggestionResponse InferenceService::serve_traced(
-    const SuggestionRequest& request, ServePath path, std::uint64_t seq,
+    const SuggestionRequest& request, bool admitted, std::uint64_t seq,
     StreamEmitter* emitter) const {
   // Every request is traced when observability is enabled; the caller's
   // sink (if any) keeps the timeline, otherwise a local one feeds the
@@ -651,15 +580,8 @@ SuggestionResponse InferenceService::serve_traced(
       // documents the stage at its true sub-microsecond cost.
       auto admission_span = trace.span("admission");
     }
-    switch (path) {
-      case ServePath::Full:
-        response = run_one(request, trace, emitter);
-        break;
-      case ServePath::Shed: response = run_shed(request, trace); break;
-      case ServePath::ShortCircuit:
-        response = run_short_circuit(request, trace);
-        break;
-    }
+    response = admitted ? run_one(request, trace, emitter)
+                        : run_shed(request, trace);
   }
   if (trace.active()) {
     response.trace_id =
@@ -735,10 +657,6 @@ std::string InferenceService::drain() {
   return registry_.expose_prometheus();
 }
 
-CircuitBreaker::Stats InferenceService::breaker_stats() const {
-  return breaker_ ? breaker_->stats() : CircuitBreaker::Stats{};
-}
-
 SuggestionResponse InferenceService::suggest(const SuggestionRequest& request) {
   if (!enter_serving()) return drain_refusal();
   SuggestionResponse response = suggest_serving(request);
@@ -767,31 +685,16 @@ SuggestionResponse InferenceService::suggest_stream(
 
 SuggestionResponse InferenceService::suggest_serving(
     const SuggestionRequest& request, StreamEmitter* emitter) {
-  const CircuitBreaker::Admission gate =
-      breaker_ ? breaker_->admit() : CircuitBreaker::Admission::Allow;
   const std::uint64_t seq =
       trace_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (gate == CircuitBreaker::Admission::ShortCircuit) {
-    // Short-circuited arrivals never touch the queue or the model, and
-    // their outcome is NOT recorded into the breaker window — refusing
-    // traffic must not look like the backend failing harder.
-    SuggestionResponse response =
-        serve_traced(request, ServePath::ShortCircuit, seq);
-    h_.offered->inc();
-    record_response(response);
-    h_.wall_ms->add(response.latency_ms);
-    return response;
-  }
   const bool admitted = try_admit();
   if (obs::enabled())
     h_.inflight->set(static_cast<double>(queue_.in_flight()));
-  SuggestionResponse response = serve_traced(
-      request, admitted ? ServePath::Full : ServePath::Shed, seq, emitter);
+  SuggestionResponse response = serve_traced(request, admitted, seq, emitter);
   if (admitted) queue_.release();
   if (obs::enabled())
     h_.inflight->set(static_cast<double>(queue_.in_flight()));
 
-  breaker_record(response);
   h_.offered->inc();
   if (!admitted) {
     h_.shed->inc();
@@ -816,16 +719,8 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch(
   // Admission in arrival order, before the fan-out: with capacity C on an
   // otherwise idle service exactly the first C requests are admitted —
   // deterministic reject-newest. Trace ids are sequenced the same way.
-  std::vector<CircuitBreaker::Admission> gate(
-      n, CircuitBreaker::Admission::Allow);
   std::vector<char> admitted(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (breaker_) gate[i] = breaker_->admit();
-    admitted[i] = gate[i] != CircuitBreaker::Admission::ShortCircuit &&
-                          try_admit()
-                      ? 1
-                      : 0;
-  }
+  for (std::size_t i = 0; i < n; ++i) admitted[i] = try_admit() ? 1 : 0;
   const std::uint64_t base_seq = trace_seq_.fetch_add(
       static_cast<std::uint64_t>(n), std::memory_order_relaxed);
   if (obs::enabled())
@@ -837,11 +732,7 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch(
       [&](std::int64_t i0, std::int64_t i1) {
         for (std::int64_t i = i0; i < i1; ++i) {
           std::size_t j = static_cast<std::size_t>(i);
-          const ServePath path =
-              gate[j] == CircuitBreaker::Admission::ShortCircuit
-                  ? ServePath::ShortCircuit
-                  : (admitted[j] != 0 ? ServePath::Full : ServePath::Shed);
-          responses[j] = serve_traced(requests[j], path,
+          responses[j] = serve_traced(requests[j], admitted[j] != 0,
                                       base_seq + static_cast<std::uint64_t>(j));
         }
       });
@@ -853,11 +744,6 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch(
 
   for (std::size_t i = 0; i < n; ++i) {
     h_.offered->inc();
-    if (gate[i] == CircuitBreaker::Admission::ShortCircuit) {
-      record_response(responses[i]);
-      continue;
-    }
-    breaker_record(responses[i]);
     if (!admitted[i]) {
       h_.shed->inc();
       if (options_.shed_policy == ShedPolicy::RejectNewest) continue;

@@ -19,8 +19,8 @@
 //     (ServiceError::Overloaded) instead of letting latency grow without
 //     bound; ShedPolicy::DegradeNewest serves shed requests from the
 //     fallback instead of refusing them,
-//   * a FaultInjector (tests/benchmarks) forces each degraded path
-//     deterministically.
+//   * a FaultInjector (tests/benchmarks) forces the slow-decode and
+//     queue-full paths deterministically.
 //
 // Observability: the service owns an obs::MetricsRegistry (counters,
 // request-latency and per-stage histograms, exposed as Prometheus text
@@ -60,7 +60,6 @@
 #include "model/transformer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/breaker.hpp"
 #include "serve/fallback.hpp"
 #include "serve/fault.hpp"
 #include "serve/lint_gate.hpp"
@@ -85,8 +84,9 @@ struct ServiceOptions {
   // Admission queue capacity; <= 0 means unbounded (never sheds).
   int queue_capacity = 0;
   ShedPolicy shed_policy = ShedPolicy::RejectNewest;
-  // Serve the fallback on deadline expiry / model failure. When false such
-  // requests return ok=false with the error set instead.
+  // Serve the fallback on deadline expiry (when nothing is salvaged) and
+  // for lint-refused snippets. When false such requests return ok=false
+  // with the error set instead.
   bool fallback_enabled = true;
   // Borrowed fault injector; nullptr injects nothing. Must outlive the
   // service.
@@ -105,14 +105,6 @@ struct ServiceOptions {
   bool response_cache_enabled = false;
   // Entry cap for the response memo (LRU past it).
   std::size_t response_cache_entries = 256;
-  // --- overload resilience ------------------------------------------------
-  // Admission circuit breaker: past a rolling-window failure-rate
-  // threshold, arrivals short-circuit to the deterministic fallback with
-  // ServiceError::CircuitOpen instead of burning decode budget against a
-  // failing backend; after a cooldown, probe requests test recovery. Off
-  // by default (seed behaviour preserved exactly).
-  bool breaker_enabled = false;
-  BreakerOptions breaker;
 };
 
 class InferenceService {
@@ -176,10 +168,6 @@ class InferenceService {
   State state() const;
   void begin_drain();
   std::string drain();
-
-  // The breaker's current state/window snapshot; a default (Closed,
-  // all-zero) snapshot when the breaker is disabled.
-  CircuitBreaker::Stats breaker_stats() const;
 
   // The plugin's accept/reject feedback ("hit tab ... or escape").
   void record_accept();
@@ -259,24 +247,12 @@ class InferenceService {
     obs::Counter* lint_repaired = nullptr;
     obs::Counter* lint_rejected = nullptr;
     std::map<std::string, obs::Counter*, std::less<>> lint_rules;
-    // Overload-resilience families (wisdom_breaker_* / wisdom_drain_*).
-    // Registered unconditionally so they are scrapeable at 0 whatever the
-    // configuration.
-    obs::Gauge* breaker_state = nullptr;
-    obs::Counter* breaker_opened = nullptr;
-    obs::Counter* breaker_closed = nullptr;
-    obs::Counter* breaker_short_circuit = nullptr;
-    obs::Counter* breaker_probes = nullptr;
-    obs::Counter* breaker_failures = nullptr;
+    // Lifecycle families (wisdom_drain_*). Registered unconditionally so
+    // they are scrapeable at 0 whatever the configuration.
     obs::Gauge* drain_state = nullptr;
     obs::Counter* drain_rejected = nullptr;
     obs::Counter* drain_completed = nullptr;
   };
-
-  // Which pipeline a request takes after admission decisions: the full
-  // model path, the shed path (queue refusal), or the breaker's
-  // short-circuit (open circuit, fallback-only).
-  enum class ServePath : std::uint8_t { Full, Shed, ShortCircuit };
 
   // Stable-prefix chunk emitter backing suggest_stream (defined in
   // service.cpp); run_one hooks it into GenerateOptions::on_token.
@@ -284,11 +260,12 @@ class InferenceService {
 
   bool try_admit();
   util::Deadline request_deadline(const SuggestionRequest& request) const;
-  // Serves one request down `path`, recording spans into the trace and
+  // Serves one request, down the full pipeline when it was admitted and
+  // the shed path otherwise, recording spans into the trace and
   // finalizing trace_id/server_timing_ms on the response. A non-null
   // emitter receives per-token chunks from the generate stage.
   SuggestionResponse serve_traced(const SuggestionRequest& request,
-                                  ServePath path, std::uint64_t seq,
+                                  bool admitted, std::uint64_t seq,
                                   StreamEmitter* emitter = nullptr) const;
   SuggestionResponse run_one(const SuggestionRequest& request,
                              obs::TraceContext& trace,
@@ -297,15 +274,6 @@ class InferenceService {
   // under DegradeNewest, a fallback suggestion.
   SuggestionResponse run_shed(const SuggestionRequest& request,
                               obs::TraceContext& trace) const;
-  // Response for an arrival the open breaker short-circuited: the
-  // deterministic fallback (when enabled) with ServiceError::CircuitOpen.
-  SuggestionResponse run_short_circuit(const SuggestionRequest& request,
-                                       obs::TraceContext& trace) const;
-  // Feeds one served outcome into the breaker's rolling window (deadline
-  // miss / generate failure / shed count as failures; an armed
-  // poison_breaker fault forces a failure regardless). No-op when the
-  // breaker is disabled.
-  void breaker_record(const SuggestionResponse& response);
   // Lifecycle gate: registers one in-flight serving call; false when the
   // service is draining or stopped (the caller must refuse the request).
   bool enter_serving();
@@ -345,8 +313,6 @@ class InferenceService {
   // serving thread.
   std::unique_ptr<PrefixKvCache> prefix_cache_;
   std::unique_ptr<ResponseCache> response_cache_;
-  // Null when breaker_enabled is off (admission skips it entirely).
-  std::unique_ptr<CircuitBreaker> breaker_;
   // Lifecycle: state transitions and the in-flight serving count drain()
   // waits on. A plain int under the mutex (not an atomic) so the
   // condition-variable wait has no lost-wakeup window.

@@ -15,20 +15,17 @@
 
 namespace wisdom::serve {
 
-// Why a request was not served normally. Overloaded and CircuitOpen are
-// the transient errors: Overloaded clears when the admission queue
-// drains, CircuitOpen when the breaker's cooldown elapses and its probes
-// succeed, so a client may retry them after backoff. The rest are
-// terminal for the request that produced them; Draining means the
-// service is going away, so clients fail over instead of retrying.
+// Why a request was not served normally. Overloaded is the transient
+// error: it clears when the admission queue drains, so a client may retry
+// it after backoff. The rest are terminal for the request that produced
+// them; Draining means the service is going away, so clients fail over
+// instead of retrying.
 enum class ServiceError : std::uint8_t {
   None = 0,
   InvalidRequest,    // empty prompt, negative indent
   Overloaded,        // shed by the admission queue
   DeadlineExceeded,  // decode cut off by the request deadline
-  GenerateFailed,    // model failure (fault-injected or real)
   LintRejected,      // RejectDegraded policy: errors survived repair
-  CircuitOpen,       // short-circuited by the admission circuit breaker
   Draining,          // refused: the service is draining or stopped
 };
 
@@ -65,8 +62,9 @@ struct SuggestionResponse {
   bool schema_correct = false;
   double latency_ms = 0.0;
   int generated_tokens = 0;
-  // True when the snippet came from the fallback path (deadline expiry,
-  // model failure, or DegradeNewest shedding) rather than a full decode.
+  // True when the snippet is not a full decode: a salvaged partial or a
+  // fallback answer (deadline expiry, lint refusal, or DegradeNewest
+  // shedding).
   bool degraded = false;
   // True when the response was served from the cache: a response-memo hit
   // (the whole prior response for an exact repeat) or a prefix-cache hit

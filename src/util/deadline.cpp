@@ -12,10 +12,23 @@ Deadline Deadline::at(std::chrono::steady_clock::time_point when) {
 }
 
 Deadline Deadline::after_ms(double ms) {
-  return at(std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double, std::milli>(ms < 0.0 ? 0.0
-                                                                   : ms)));
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  if (!(ms > 0.0)) return at(now);
+  // Saturate at the clock's last tick. A budget past the clock's range
+  // (about 292 years of nanoseconds, or +inf) would overflow the
+  // conversion to ticks, and the deadline would start out expired.
+  const Clock::duration headroom = Clock::time_point::max() - now;
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(ms))
+          .count();
+  if (ticks >= static_cast<double>(headroom.count()))
+    return at(Clock::time_point::max());
+  // headroom rounds up to the nearest double, so `ticks` can still land a
+  // few ticks past it.
+  const Clock::duration budget(static_cast<Clock::rep>(ticks));
+  return at(budget >= headroom ? Clock::time_point::max() : now + budget);
 }
 
 Deadline Deadline::after_checks(std::int64_t checks) {

@@ -62,8 +62,9 @@ class Deadline {
 
   static Deadline infinite() { return Deadline(); }
   static Deadline at(std::chrono::steady_clock::time_point when);
-  // Expires once `ms` milliseconds have elapsed from now; ms <= 0 is
-  // already expired.
+  // Expires once `ms` milliseconds have elapsed from now; ms <= 0 (or NaN)
+  // is already expired. A budget past the clock's range, +inf included,
+  // saturates at its last tick and so never expires.
   static Deadline after_ms(double ms);
   // Expires after `checks` calls to expired() have returned false (the
   // call after the budget is spent returns true). checks <= 0 is already

@@ -30,7 +30,7 @@ namespace {
 
 // One trained micro-model shared by the suite (training takes ~2s);
 // the builder lives in test_util.hpp, shared with the other suites.
-wisdom::testutil::TrainedTinyModel& fixture() {
+wisdom::testutil::TrainedMicroModel& fixture() {
   return wisdom::testutil::trained_tiny();
 }
 
@@ -315,7 +315,7 @@ TEST(ResponseCache, NeverMemoizesDegradedResponses) {
   cache.insert(key, degraded);
   ws::SuggestionResponse failed;
   failed.ok = false;
-  failed.error = ws::ServiceError::GenerateFailed;
+  failed.error = ws::ServiceError::DeadlineExceeded;
   cache.insert(key, failed);
   EXPECT_EQ(cache.stats().stored, 0u);
   // lookup() above the two rejected inserts: still a miss.

@@ -201,8 +201,6 @@ TEST(ApiTable, ServiceErrorToHttpStatus) {
   EXPECT_EQ(serve::http_status(ServiceError::DeadlineExceeded), 408);
   EXPECT_EQ(serve::http_status(ServiceError::LintRejected), 422);
   EXPECT_EQ(serve::http_status(ServiceError::Overloaded), 429);
-  EXPECT_EQ(serve::http_status(ServiceError::GenerateFailed), 500);
-  EXPECT_EQ(serve::http_status(ServiceError::CircuitOpen), 503);
   EXPECT_EQ(serve::http_status(ServiceError::Draining), 503);
   // A degraded-but-served response is still a 200.
   serve::SuggestionResponse response;
@@ -217,9 +215,9 @@ TEST(ApiTable, ServiceErrorToHttpStatus) {
 
 // The tests' micro model: seconds to train, deterministic, schema-shaped
 // output. Shared across every e2e test; built by test_util.hpp.
-using TinyModel = wisdom::testutil::TrainedTinyModel;
-
-TinyModel& tiny() { return wisdom::testutil::trained_tiny(); }
+wisdom::testutil::TrainedMicroModel& tiny() {
+  return wisdom::testutil::trained_tiny();
+}
 
 // Minimal blocking client for tests: one connection, full-response reads
 // (Content-Length or chunked).
@@ -554,6 +552,10 @@ TEST(HttpE2E, ErrorStatusTableOverTheWire) {
   service_options.faults = &faults;
   service_options.fallback_enabled = false;
   service_options.queue_capacity = 4;
+  // One token cannot complete a task, so with no fault set the
+  // reject-degraded gate refuses the answer: 422.
+  service_options.max_new_tokens = 1;
+  service_options.lint_policy = serve::LintPolicy::RejectDegraded;
   Harness harness(service_options);
 
   auto post = [&](std::string_view target, std::string_view body) {
@@ -569,13 +571,11 @@ TEST(HttpE2E, ErrorStatusTableOverTheWire) {
   EXPECT_EQ(post("/v1/nope", suggest_json("x")), 404);
   EXPECT_EQ(post("/v1/healthz", ""), 405);                  // POST on GET-only
 
+  EXPECT_EQ(post("/v1/suggest", suggest_json("Install vim")), 422);
+
   faults.set_force_queue_full(true);
   EXPECT_EQ(post("/v1/suggest", suggest_json("Install vim")), 429);
   faults.set_force_queue_full(false);
-
-  faults.set_fail_generate(1);
-  EXPECT_EQ(post("/v1/suggest", suggest_json("Install vim")), 500);
-  faults.reset();
 
   faults.set_slow_decode_after_tokens(0);
   EXPECT_EQ(post("/v1/suggest", suggest_json("Install vim")), 408);

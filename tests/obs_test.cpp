@@ -320,7 +320,7 @@ TEST(Trace, ClientTraceIdIsEchoed) {
 // Service ledger + kill switch
 
 // The registry is the service's one ledger: after mixed traffic (queue
-// sheds, breaker short-circuits, drain refusals) its counters balance,
+// sheds, deadline degradations, a drain refusal) its counters balance,
 // read from the registry alone.
 TEST(ServiceObs, LedgerBalancesUnderEachShedPolicy) {
   auto& f = fixture();
@@ -333,13 +333,6 @@ TEST(ServiceObs, LedgerBalancesUnderEachShedPolicy) {
     options.faults = &faults;
     options.queue_capacity = 2;
     options.shed_policy = policy;
-    options.breaker_enabled = true;
-    // min_samples above the batch's six outcomes: the breaker can trip
-    // only once the poisoned outcomes below reach it.
-    options.breaker.window = 16;
-    options.breaker.min_samples = 8;
-    options.breaker.cooldown = 2;
-    options.breaker.probes = 1;
     ws::InferenceService service(f.model, f.tokenizer, options);
     ws::SuggestionRequest request;
     request.prompt = "Install nginx";
@@ -347,10 +340,11 @@ TEST(ServiceObs, LedgerBalancesUnderEachShedPolicy) {
     // Three times the queue capacity in one batch: four arrivals shed.
     std::vector<ws::SuggestionResponse> responses =
         service.suggest_batch(std::vector<ws::SuggestionRequest>(6, request));
-    // Two poisoned outcomes trip the breaker; the next two arrivals
-    // short-circuit to the fallback.
-    faults.set_poison_breaker(2);
-    for (int i = 0; i < 4; ++i) responses.push_back(service.suggest(request));
+    // Two arrivals hit their deadline and degrade to the fallback.
+    faults.set_slow_decode_after_tokens(0);
+    for (int i = 0; i < 2; ++i) responses.push_back(service.suggest(request));
+    faults.reset();
+    for (int i = 0; i < 2; ++i) responses.push_back(service.suggest(request));
     service.begin_drain();
     responses.push_back(service.suggest(request));
 
@@ -363,8 +357,8 @@ TEST(ServiceObs, LedgerBalancesUnderEachShedPolicy) {
         metric_value(registry, "wisdom_drain_rejected_total");
     EXPECT_EQ(offered, static_cast<double>(responses.size()));
     EXPECT_GT(shed, 0.0);
-    EXPECT_GT(metric_value(registry, "wisdom_breaker_short_circuit_total"),
-              0.0);
+    EXPECT_EQ(metric_value(registry, "wisdom_serve_deadline_expired_total"),
+              2.0);
     EXPECT_EQ(drain_rejected, 1.0);
     if (reject) {
       EXPECT_EQ(offered, requests + drain_rejected + shed);

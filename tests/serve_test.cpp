@@ -185,20 +185,22 @@ TEST(LintPolicy, ValidSuggestionsPassEveryPolicyUnchanged) {
   }
 }
 
-TEST(LintPolicy, RejectDegradedFallsBackOnGenerateFailure) {
+TEST(LintPolicy, RejectDegradedFallsBackWhenNothingIsSalvaged) {
   auto& f = fixture();
   ws::FaultInjector faults;
   ws::ServiceOptions options;
   options.lint_policy = ws::LintPolicy::RejectDegraded;
   options.faults = &faults;
   ws::InferenceService service(f.model, f.tokenizer, options);
-  faults.set_fail_generate(1);
+  // The deadline expires before the first token: no partial to salvage.
+  faults.set_slow_decode_after_tokens(0);
   ws::SuggestionRequest request;
   request.prompt = "Install nginx";
   auto response = service.suggest(request);
   EXPECT_TRUE(response.ok);
   EXPECT_TRUE(response.degraded);
-  EXPECT_EQ(response.error, ws::ServiceError::GenerateFailed);
+  EXPECT_EQ(response.generated_tokens, 0);
+  EXPECT_EQ(response.error, ws::ServiceError::DeadlineExceeded);
   EXPECT_TRUE(response.schema_correct);
 }
 
@@ -331,48 +333,23 @@ TEST(ServiceBatch, FaultInjectionMatchesSequential) {
   const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
   const auto requests = batch_requests();
 
-  // Generate failures: the batch fans out across the pool, so credits are
-  // consumed in completion order. Exactly n requests fail; every other one
-  // is byte-equal to fault-free sequential serving.
-  {
-    const auto clean = sequential_reference(model, tokenizer, {}, requests);
-    ws::FaultInjector faults;
-    ws::ServiceOptions options;
-    options.faults = &faults;
-    ws::InferenceService batched(model, tokenizer, options);
-    faults.set_fail_generate(2);
-    const auto responses = batched.suggest_batch(requests);
-    ASSERT_EQ(responses.size(), requests.size());
-    int failed = 0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (responses[i].error == ws::ServiceError::GenerateFailed) {
-        ++failed;
-        EXPECT_TRUE(responses[i].degraded) << "request " << i;
-      } else {
-        expect_same_payload(responses[i], clean[i], i);
-      }
-    }
-    EXPECT_EQ(failed, 2);
-  }
-  // Slow decode: every request under a tight check-count budget.
-  {
-    ws::FaultInjector faults;
-    ws::ServiceOptions options;
-    options.faults = &faults;
-    faults.set_slow_decode_after_tokens(6);
-    const auto expected =
-        sequential_reference(model, tokenizer, options, requests);
+  // Every request decodes under a tight check-count budget.
+  ws::FaultInjector faults;
+  ws::ServiceOptions options;
+  options.faults = &faults;
+  faults.set_slow_decode_after_tokens(6);
+  const auto expected =
+      sequential_reference(model, tokenizer, options, requests);
 
-    ws::FaultInjector batch_faults;
-    ws::ServiceOptions batch_options = options;
-    batch_options.faults = &batch_faults;
-    ws::InferenceService batched(model, tokenizer, batch_options);
-    batch_faults.set_slow_decode_after_tokens(6);
-    const auto responses = batched.suggest_batch(requests);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      expect_same_payload(responses[i], expected[i], i);
-      EXPECT_EQ(responses[i].error, ws::ServiceError::DeadlineExceeded);
-    }
+  ws::FaultInjector batch_faults;
+  ws::ServiceOptions batch_options = options;
+  batch_options.faults = &batch_faults;
+  ws::InferenceService batched(model, tokenizer, batch_options);
+  batch_faults.set_slow_decode_after_tokens(6);
+  const auto responses = batched.suggest_batch(requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    expect_same_payload(responses[i], expected[i], i);
+    EXPECT_EQ(responses[i].error, ws::ServiceError::DeadlineExceeded);
   }
 }
 

@@ -6,7 +6,7 @@
 //  - tiny_config() / serving_model(): an UNtrained 2-layer model whose
 //    outputs are arbitrary but deterministic — right for parity and
 //    chaos tests, where only byte-identity across serving modes matters.
-//  - TrainedTinyModel: a micro model trained for ~2s on a synthetic
+//  - TrainedMicroModel: a micro model trained for ~2s on a synthetic
 //    apt-task corpus, producing schema-shaped YAML — right for
 //    end-to-end tests that assert on response content.
 #pragma once
@@ -78,11 +78,11 @@ inline model::Transformer serving_model(const text::BpeTokenizer& tokenizer) {
 
 // The trained micro-model shared by content-asserting suites. Training
 // takes ~2s; suites hold one instance via trained_tiny().
-struct TrainedTinyModel {
+struct TrainedMicroModel {
   text::BpeTokenizer tokenizer;
   model::Transformer model;
 
-  TrainedTinyModel()
+  TrainedMicroModel()
       : tokenizer(text::BpeTokenizer::train(corpus(), 300)),
         model(config(), 21) {
     std::vector<std::string> texts;
@@ -147,8 +147,8 @@ inline double metric_value(const obs::MetricsRegistry& registry,
 
 // Leaked singleton (never destroyed): avoids static-destruction-order
 // races with the global thread pool on process exit.
-inline TrainedTinyModel& trained_tiny() {
-  static TrainedTinyModel* instance = new TrainedTinyModel();
+inline TrainedMicroModel& trained_tiny() {
+  static TrainedMicroModel* instance = new TrainedMicroModel();
   return *instance;
 }
 
