@@ -76,8 +76,6 @@ int usage(const char* argv0) {
       "  --admin-any-peer        allow /v1/admin/drain from any peer\n"
       "service options:\n"
       "  --max-new-tokens N      decode budget per request, >= 1 (default 56)\n"
-      "  --beam-width N          >= 1; above 1 decodes with beam search\n"
-      "  --beam-length-penalty X length normalization, >= 0 (default 0.6)\n"
       "  --deadline-ms MS        per-request decode deadline, >= 0 (0 = off)\n"
       "  --queue-capacity N      admission queue bound, >= 0 (0 = off)\n"
       "  --shed-policy P         reject | degrade (default reject)\n"
@@ -85,7 +83,7 @@ int usage(const char* argv0) {
       "  --lint-policy P         off | annotate | repair | reject\n"
       "  --prefix-cache          enable the prefix KV cache\n"
       "  --response-cache        enable the response memo\n"
-      "Numbers must parse whole: N is an integer, X and MS finite reals.\n",
+      "Numbers must parse whole: N is an integer, MS a finite real.\n",
       argv0);
   return 2;
 }
@@ -139,11 +137,6 @@ int main(int argc, char** argv) {
       server_options.admin_loopback_only = false;
     else if (arg == "--max-new-tokens")
       service_options.max_new_tokens = int_value(i, 1, INT_MAX);
-    else if (arg == "--beam-width")
-      service_options.beam_width = int_value(i, 1, INT_MAX);
-    else if (arg == "--beam-length-penalty")
-      service_options.beam_length_penalty = static_cast<float>(
-          real_value(i, std::numeric_limits<float>::max()));
     else if (arg == "--deadline-ms")
       service_options.deadline_ms =
           real_value(i, std::numeric_limits<double>::max());

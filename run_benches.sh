@@ -5,12 +5,12 @@
 #
 # --regression: instead of the full sweep, run only the serving throughput
 # benchmarks on a pinned config (WISDOM_THREADS=4), write the results to
-# BENCH_PR6.json, and fail if tokens/s drops more than 10% against the
-# committed baseline in bench/bench_baseline.json — or if the overload
-# sweep's shed/degraded rates rise past the absolute tolerance. This is
-# what the CI bench-regression job runs. It refuses (exit 2) a host with
-# fewer cores than the pinned thread count: more threads than cores
-# measures oversubscription, not the pinned config.
+# build/bench_regression.json (or $BENCH_OUT), and fail if tokens/s drops
+# more than 10% against the committed baseline in bench/bench_baseline.json
+# — or if the overload sweep's shed/degraded rates rise past the absolute
+# tolerance. This is what the CI bench-regression job runs. It refuses
+# (exit 2) a host with fewer cores than the pinned thread count: more
+# threads than cores measures oversubscription, not the pinned config.
 set -e
 cd "$(dirname "$0")"
 
@@ -22,7 +22,7 @@ if [ "$1" = "--regression" ]; then
          "has nproc=$CPUS; run it on a host with at least $THREADS cores" >&2
     exit 2
   fi
-  OUT="${BENCH_OUT:-BENCH_PR6.json}"
+  OUT="${BENCH_OUT:-build/bench_regression.json}"
   BASELINE="${BENCH_BASELINE:-bench/bench_baseline.json}"
   WISDOM_THREADS=$THREADS build/bench/bench_throughput \
     --benchmark_filter='BM_BatchedSuggest|BM_OverloadSweep' \

@@ -888,18 +888,15 @@ std::vector<std::int32_t> Transformer::generate_beam(
                             options.length_penalty);
   };
 
-  GenerateStatus local_status;
-  GenerateStatus& status = options.status ? *options.status : local_status;
-  obs::TraceContext inert_trace;
-  obs::TraceContext& trace = options.trace ? *options.trace : inert_trace;
-
-  // Seed beam: the prompt fed once, resuming past any warm-cached prefix
-  // (cloned, so the caller's copy stays usable).
+  // Seed beam: the kept prompt fed once.
   Beam seed;
-  seed.cache = options.warm_cache ? options.warm_cache->clone() : make_cache();
+  seed.cache = make_cache();
+  GenerateStatus status;
+  obs::TraceContext inert_trace;
   if (!prefill(kept_prompt(prompt, options.max_new_tokens), seed.cache,
-               options.deadline, status, trace, options.prompt_snapshot))
-    return {};  // prefill never finished: no hypothesis exists yet
+               util::Deadline{}, status, inert_trace,
+               /*prompt_snapshot=*/nullptr))
+    return {};  // empty kept prompt: no hypothesis exists
   log_softmax(seed.cache.logits, seed.logprobs);
 
   std::vector<Beam> beams;
@@ -909,12 +906,6 @@ std::vector<std::int32_t> Transformer::generate_beam(
 
   for (int step = 0; step < options.max_new_tokens && !beams.empty();
        ++step) {
-    if (options.deadline.expired()) {
-      status.deadline_expired = true;
-      break;  // fall through to best-finished / best-live selection
-    }
-    ++status.steps_taken;
-    auto step_span = trace.span("beam_step");
     // Gather candidate expansions from every live beam.
     struct Candidate {
       std::size_t beam;

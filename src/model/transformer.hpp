@@ -94,9 +94,9 @@ class Transformer {
   void decode_step_batch(std::span<KvCache* const> caches,
                          std::span<const std::int32_t> tokens) const;
 
-  // Filled by generate()/generate_beam() when a caller passes a status
-  // pointer: whether decoding ran to completion or was cut short by its
-  // deadline (the returned tokens are then the partial result).
+  // Filled by generate() when a caller passes a status pointer: whether
+  // decoding ran to completion or was cut short by its deadline (the
+  // returned tokens are then the partial result).
   struct GenerateStatus {
     bool deadline_expired = false;
     // Tokens actually decoded (prompt prefill + generation) before the cut.
@@ -107,7 +107,7 @@ class Transformer {
     int prefill_tokens_reused = 0;
   };
 
-  // The prompt suffix generate()/generate_beam() would actually feed the
+  // The prompt suffix generate() and generate_beam() actually feed the
   // model: left-truncated so prompt + generation fits the context window,
   // reserving at most half the window for generation (none for a
   // non-positive budget), so the span never exceeds the window. Callers
@@ -161,27 +161,15 @@ class Transformer {
                                      const GenerateOptions& options) const;
 
   // Beam-search decoding (the paper's other suggested improvement over
-  // greedy). Returns the highest-scoring finished hypothesis; scores are
-  // summed token log-probabilities with optional length normalization
-  // (score / length^length_penalty).
+  // greedy), measured by the decoding-strategy ablation; the service
+  // decodes greedily and never calls it. Returns the highest-scoring
+  // finished hypothesis; scores are summed token log-probabilities with
+  // optional length normalization (score / length^length_penalty).
   struct BeamOptions {
     int beam_width = 4;
     int max_new_tokens = 64;
     std::int32_t stop_token = -1;
     float length_penalty = 0.6f;
-    // Checked once per prefill token and once per beam step; on expiry the
-    // best hypothesis found so far is returned.
-    util::Deadline deadline;
-    GenerateStatus* status = nullptr;  // optional out-param
-    // Optional request trace: "prefill" plus one "beam_step" span per
-    // expansion round.
-    obs::TraceContext* trace = nullptr;
-    // Prefix-cache reuse and snapshot capture, with the same contract as
-    // GenerateOptions. The warm cache seeds the root beam (cloned, so the
-    // caller's copy is left usable) and the snapshot is taken after the
-    // root prefill completes.
-    const KvCache* warm_cache = nullptr;
-    KvCache* prompt_snapshot = nullptr;
   };
   std::vector<std::int32_t> generate_beam(std::span<const std::int32_t> prompt,
                                           const BeamOptions& options) const;

@@ -128,6 +128,11 @@ HttpParser::Status HttpParser::parse_head() {
         }) ||
         length->size() > 12)
       return fail(400, "malformed Content-Length");
+    // Differing repeats leave the framing ambiguous (RFC 9112 §6.3);
+    // identical ones agree on it.
+    for (const auto& [key, value] : request_.headers)
+      if (key == "content-length" && value != *length)
+        return fail(400, "conflicting Content-Length");
     body_expected_ = static_cast<std::size_t>(std::stoull(*length));
     if (body_expected_ > limits_.max_body_bytes)
       return fail(413, "request body exceeds the wire-size cap");

@@ -4,8 +4,6 @@
 #include <unordered_set>
 
 #include "ansible/catalog.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "util/strings.hpp"
 
 namespace wisdom::serve {
@@ -112,13 +110,6 @@ FallbackSuggester::FallbackSuggester() {
 
 std::string FallbackSuggester::suggest_body(const std::string& prompt,
                                             int indent) const {
-  if (obs::enabled()) {
-    // Global (not per-service): the suggester is also used standalone.
-    static obs::Counter& served = obs::MetricsRegistry::global().counter(
-        "wisdom_fallback_suggestions_total",
-        "Bodies produced by the deterministic fallback suggester.");
-    served.inc();
-  }
   const std::vector<std::string> tokens = prompt_tokens(prompt);
   const text::NgramCounts counts = text::count_ngrams(tokens, 1);
 

@@ -308,19 +308,13 @@ LintOutcome InferenceService::run_lint_gate(std::string_view snippet,
 class InferenceService::StreamEmitter {
  public:
   StreamEmitter(const TokenSink& sink, const text::BpeTokenizer& tokenizer,
-                const SuggestionRequest& request, bool token_streaming)
+                const SuggestionRequest& request)
       : sink_(sink),
         tokenizer_(tokenizer),
-        indent_(static_cast<std::size_t>(std::max(request.indent, 0))),
-        token_streaming_(token_streaming) {
+        indent_(static_cast<std::size_t>(std::max(request.indent, 0))) {
     std::string pad(indent_, ' ');
     name_line_ = pad + "- name: " + request.prompt + "\n";
   }
-
-  // Whether run_one should hook GenerateOptions::on_token. Beam search
-  // revises hypotheses non-monotonically, so beam responses stream as one
-  // final chunk from finish() instead of per-token deltas.
-  bool streaming_tokens() const { return token_streaming_; }
 
   // GenerateOptions::on_token target: runs on the decoding thread, once
   // per committed token, in order.
@@ -363,7 +357,6 @@ class InferenceService::StreamEmitter {
   const TokenSink& sink_;
   const text::BpeTokenizer& tokenizer_;
   std::size_t indent_;
-  bool token_streaming_;
   std::string name_line_;
   std::string decoded_;  // every committed token's bytes, in order
   std::string emitted_;
@@ -409,7 +402,7 @@ SuggestionResponse InferenceService::run_one(
   gen.deadline = request_deadline(request);
   gen.trace = &trace;
   gen.status = &status;
-  if (emitter && emitter->streaming_tokens())
+  if (emitter)
     gen.on_token = [emitter](std::int32_t token) { emitter->on_token(token); };
 
   // Level 1: warm-start generation from the deepest cached KV snapshot
@@ -432,23 +425,7 @@ SuggestionResponse InferenceService::run_one(
   std::vector<std::int32_t> out;
   {
     auto generate_span = trace.span("generate");
-    if (options_.beam_width > 1) {
-      // Beam-configured service: decode through generate_beam with the
-      // same budget/deadline/cache wiring as the greedy path.
-      model::Transformer::BeamOptions beam;
-      beam.beam_width = options_.beam_width;
-      beam.max_new_tokens = gen.max_new_tokens;
-      beam.stop_token = gen.stop_token;
-      beam.length_penalty = options_.beam_length_penalty;
-      beam.deadline = gen.deadline;
-      beam.status = gen.status;
-      beam.trace = gen.trace;
-      beam.warm_cache = gen.warm_cache;
-      beam.prompt_snapshot = gen.prompt_snapshot;
-      out = model_.generate_beam(ids, beam);
-    } else {
-      out = model_.generate(ids, gen);
-    }
+    out = model_.generate(ids, gen);
   }
 
   // Store the prefilled prompt whenever prefill completed — KV rows are
@@ -669,8 +646,7 @@ SuggestionResponse InferenceService::suggest_stream(
   if (!enter_serving()) return drain_refusal();
   SuggestionResponse response;
   if (sink) {
-    StreamEmitter emitter(sink, tokenizer_, request,
-                          /*token_streaming=*/options_.beam_width <= 1);
+    StreamEmitter emitter(sink, tokenizer_, request);
     response = suggest_serving(request, &emitter);
     // Settle the stream before exit_serving(): a drain() waiter that sees
     // serving_calls_ hit zero must know every in-flight stream delivered

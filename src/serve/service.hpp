@@ -74,11 +74,6 @@ namespace wisdom::serve {
 
 struct ServiceOptions {
   int max_new_tokens = 56;
-  // Decoding strategy: <= 1 decodes greedily (seed behaviour); widths > 1
-  // serve through Transformer::generate_beam.
-  int beam_width = 1;
-  // Length normalization for beam scoring (score / length^penalty).
-  float beam_length_penalty = 0.6f;
   // Default per-request decode budget in ms; <= 0 disables the deadline.
   double deadline_ms = 0.0;
   // Admission queue capacity; <= 0 means unbounded (never sheds).
@@ -138,9 +133,7 @@ class InferenceService {
   // Invariant (asserted by tests/http_test.cpp): after suggest_stream
   // returns, the accumulated bytes equal response.snippet exactly — the
   // stream is byte-identical to the single-shot response for the same
-  // request, greedy or beam. Beam decoding emits no per-token chunks (a
-  // hypothesis is not final until search ends); its snippet arrives as
-  // one chunk at the end.
+  // request.
   using TokenSink = std::function<void(std::string_view text, bool reset)>;
   SuggestionResponse suggest_stream(const SuggestionRequest& request,
                                     const TokenSink& sink);

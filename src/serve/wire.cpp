@@ -200,17 +200,24 @@ class JsonParser {
           case 'n': out += '\n'; break;
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return std::nullopt;
-            unsigned code = 0;
-            auto [p, ec] = std::from_chars(text_.data() + pos_,
-                                           text_.data() + pos_ + 4, code, 16);
-            if (ec != std::errc() || p != text_.data() + pos_ + 4)
-              return std::nullopt;
-            pos_ += 4;
-            // Only Latin-1 escapes are produced by util::json_escape.
-            if (code > 0xFF) return std::nullopt;
-            out += static_cast<char>(code);
+            // A \uXXXX escape is one UTF-16 unit; a code point above
+            // U+FFFF is a high surrogate escape followed by a low one. The
+            // code point is appended as UTF-8, so an escaped and a raw
+            // spelling of the same text parse to the same bytes.
+            auto unit = parse_hex4();
+            if (!unit || (*unit >= 0xDC00 && *unit <= 0xDFFF))
+              return std::nullopt;  // a low surrogate needs a high one
+            char32_t code = *unit;
+            if (*unit >= 0xD800 && *unit <= 0xDBFF) {
+              if (!match("\\u")) return std::nullopt;
+              auto low = parse_hex4();
+              if (!low || *low < 0xDC00 || *low > 0xDFFF) return std::nullopt;
+              code = 0x10000 + ((*unit - 0xD800) << 10) + (*low - 0xDC00);
+            }
+            append_utf8(code, out);
             break;
           }
           default:
@@ -221,6 +228,36 @@ class JsonParser {
       out += c;
     }
     return std::nullopt;  // unterminated
+  }
+
+  // The four hex digits of a \uXXXX escape, the "\u" already consumed.
+  std::optional<char32_t> parse_hex4() {
+    if (pos_ + 4 > text_.size()) return std::nullopt;
+    unsigned unit = 0;
+    auto [p, ec] = std::from_chars(text_.data() + pos_,
+                                   text_.data() + pos_ + 4, unit, 16);
+    if (ec != std::errc() || p != text_.data() + pos_ + 4)
+      return std::nullopt;
+    pos_ += 4;
+    return unit;
+  }
+
+  static void append_utf8(char32_t code, std::string& out) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    }
   }
 
   std::string_view text_;

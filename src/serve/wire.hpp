@@ -9,7 +9,10 @@
 // kMaxWireBytes are refused before parsing, numbers must be finite (no
 // NaN/inf smuggling into latency or indent fields), indent must be a
 // non-negative integer, counts must be non-negative, and truncated escape
-// sequences fail cleanly rather than reading out of bounds.
+// sequences fail cleanly rather than reading out of bounds. String escapes
+// are JSON's: \uXXXX escapes, surrogate pairs included, decode to UTF-8,
+// so an escaped and a raw spelling of the same text parse to the same
+// bytes; a lone surrogate is refused.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 // Prefix KV cache + response memo: unit tests for the cache structures,
 // byte-identity property tests (cache-on serving must equal cache-off
-// serving bit for bit, across thread counts, beam search and
-// deadline-salvaged partials), and a multi-threaded eviction stress test
+// serving bit for bit, across thread counts and deadline-salvaged
+// partials), and a multi-threaded eviction stress test
 // whose counters must reconcile exactly.
 #include <gtest/gtest.h>
 
@@ -380,30 +380,6 @@ TEST(CacheIdentity, CachedServingMatchesUncachedAcrossThreads) {
                               " request=" + std::to_string(i));
   }
   wu::ThreadPool::set_global_threads(0);
-}
-
-// Beam search under a warm cache (full and partial prefix) returns the
-// same hypothesis as a cold run.
-TEST(CacheIdentity, BeamSearchWarmMatchesCold) {
-  auto& f = fixture();
-  auto ids = f.tokenizer.encode("- name: Install nginx\n");
-  wm::Transformer::BeamOptions options;
-  options.beam_width = 3;
-  options.max_new_tokens = 16;
-  options.stop_token = wt::BpeTokenizer::kEndOfText;
-  wm::Transformer::KvCache snapshot;
-  options.prompt_snapshot = &snapshot;
-  auto cold = f.model.generate_beam(ids, options);
-  ASSERT_GT(snapshot.length, 0);
-
-  wm::Transformer::BeamOptions warm_options = options;
-  warm_options.prompt_snapshot = nullptr;
-  warm_options.warm_cache = &snapshot;
-  EXPECT_EQ(f.model.generate_beam(ids, warm_options), cold);
-
-  wm::Transformer::KvCache partial = snapshot.clone(snapshot.length / 2);
-  warm_options.warm_cache = &partial;
-  EXPECT_EQ(f.model.generate_beam(ids, warm_options), cold);
 }
 
 // Greedy generation warmed with another prompt's shared prefix matches a

@@ -146,6 +146,72 @@ void check_roundtrip_closed(const std::string& input) {
   }
 }
 
+void append_utf8(char32_t cp, std::string& out) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+// Writes `cp` the way an ASCII-only JSON encoder does (Python's json.dumps
+// by default): printable ASCII raw, JSON's short escapes where they exist,
+// every other code point as a \uXXXX escape, and one above U+FFFF as a
+// surrogate pair. Either hex case is valid JSON.
+void append_ascii_escaped(char32_t cp, bool upper_hex, std::string& out) {
+  auto unit = [&](char32_t u) {
+    const char* digits = upper_hex ? "0123456789ABCDEF" : "0123456789abcdef";
+    out += "\\u";
+    for (int shift = 12; shift >= 0; shift -= 4)
+      out += digits[(u >> shift) & 0xF];
+  };
+  switch (cp) {
+    case '"': out += "\\\""; return;
+    case '\\': out += "\\\\"; return;
+    case '\b': out += "\\b"; return;
+    case '\f': out += "\\f"; return;
+    case '\n': out += "\\n"; return;
+    case '\r': out += "\\r"; return;
+    case '\t': out += "\\t"; return;
+  }
+  if (cp >= 0x20 && cp < 0x7F) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x10000) {
+    unit(cp);
+  } else {
+    unit(0xD800 + ((cp - 0x10000) >> 10));
+    unit(0xDC00 + ((cp - 0x10000) & 0x3FF));
+  }
+}
+
+// A code point of every UTF-8 length, never a surrogate; ASCII includes
+// the control characters and JSON's escaped punctuation.
+char32_t random_code_point(Rng& rng) {
+  switch (rng.below(4)) {
+    case 0:
+      return static_cast<char32_t>(rng.below(0x80));
+    case 1:
+      return static_cast<char32_t>(0x80 + rng.below(0x800 - 0x80));
+    case 2: {
+      // [0x800, 0x10000) less the 0x800 surrogates at 0xD800.
+      auto cp = static_cast<char32_t>(0x800 + rng.below(0xF000));
+      return cp >= 0xD800 ? cp + 0x800 : cp;
+    }
+    default:
+      return static_cast<char32_t>(0x10000 + rng.below(0x100000));
+  }
+}
+
 }  // namespace
 
 TEST(FuzzWire, SeededMutationsNeverCrashAndStayClosed) {
@@ -176,6 +242,30 @@ TEST(FuzzWire, PureRandomBytesNeverCrash) {
       input.push_back(static_cast<char>(static_cast<unsigned char>(rng.next())));
     check_roundtrip_closed(input);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A client that escapes every non-ASCII character and one that writes raw
+// UTF-8 (as json_escape does) must send the same prompt bytes.
+TEST(FuzzWire, AsciiEscapedAndRawUtf8ParseToSameBytes) {
+  Rng rng(0xa5c11e5cull);
+  const int iters = fuzz_iters();
+  for (int i = 0; i < iters; ++i) {
+    std::string utf8, escaped;
+    const bool upper_hex = rng.below(2) == 1;
+    for (std::size_t n = rng.below(24); n; --n) {
+      const char32_t cp = random_code_point(rng);
+      append_utf8(cp, utf8);
+      append_ascii_escaped(cp, upper_hex, escaped);
+    }
+    ws::SuggestionRequest request;
+    request.prompt = utf8;
+    auto raw = ws::request_from_json(ws::to_json(request));
+    auto ascii = ws::request_from_json("{\"prompt\": \"" + escaped + "\"}");
+    ASSERT_TRUE(raw.has_value()) << ws::to_json(request);
+    ASSERT_TRUE(ascii.has_value()) << escaped;
+    ASSERT_EQ(raw->prompt, utf8);
+    ASSERT_EQ(ascii->prompt, utf8) << escaped;
   }
 }
 

@@ -291,38 +291,24 @@ TEST(Transformer, PrefillLogitsMatchTokenByTokenDecode) {
   for (std::int32_t token : kept) model.decode_step(reference, token);
   const int covered = static_cast<int>(kept.size()) / 2;
 
-  for (bool beam : {false, true}) {
-    for (bool warm : {false, true}) {
-      // KV rows of the first half of the kept prompt, without logits.
-      wm::Transformer::KvCache warm_cache = reference.clone(covered);
-      wm::Transformer::KvCache snapshot;
-      wm::Transformer::GenerateStatus status;
-      if (beam) {
-        wm::Transformer::BeamOptions options;
-        options.beam_width = 2;
-        options.max_new_tokens = budget;
-        options.status = &status;
-        options.prompt_snapshot = &snapshot;
-        if (warm) options.warm_cache = &warm_cache;
-        model.generate_beam(prompt, options);
-      } else {
-        wm::Transformer::GenerateOptions options;
-        options.max_new_tokens = budget;
-        options.status = &status;
-        options.prompt_snapshot = &snapshot;
-        if (warm) options.warm_cache = &warm_cache;
-        model.generate(prompt, options);
-      }
-      const char* label = beam ? (warm ? "beam warm" : "beam cold")
-                               : (warm ? "greedy warm" : "greedy cold");
-      EXPECT_EQ(status.prefill_tokens_reused, warm ? covered : 0) << label;
-      ASSERT_EQ(snapshot.length, static_cast<int>(kept.size())) << label;
-      ASSERT_EQ(snapshot.logits.size(), reference.logits.size()) << label;
-      EXPECT_EQ(0, std::memcmp(snapshot.logits.data(),
-                               reference.logits.data(),
-                               reference.logits.size() * sizeof(float)))
-          << label;
-    }
+  for (bool warm : {false, true}) {
+    // KV rows of the first half of the kept prompt, without logits.
+    wm::Transformer::KvCache warm_cache = reference.clone(covered);
+    wm::Transformer::KvCache snapshot;
+    wm::Transformer::GenerateStatus status;
+    wm::Transformer::GenerateOptions options;
+    options.max_new_tokens = budget;
+    options.status = &status;
+    options.prompt_snapshot = &snapshot;
+    if (warm) options.warm_cache = &warm_cache;
+    model.generate(prompt, options);
+    const char* label = warm ? "warm" : "cold";
+    EXPECT_EQ(status.prefill_tokens_reused, warm ? covered : 0) << label;
+    ASSERT_EQ(snapshot.length, static_cast<int>(kept.size())) << label;
+    ASSERT_EQ(snapshot.logits.size(), reference.logits.size()) << label;
+    EXPECT_EQ(0, std::memcmp(snapshot.logits.data(), reference.logits.data(),
+                             reference.logits.size() * sizeof(float)))
+        << label;
   }
 }
 
@@ -436,30 +422,19 @@ TEST(Transformer, NegativeBudgetKeepsPromptWithinWindow) {
   EXPECT_FALSE(status.deadline_expired);
 }
 
-// Both decoders run the same setup before looking at the prompt, so an
-// empty prompt still resets a status reused from an earlier cut-short call.
+// generate() runs its setup before looking at the prompt, so an empty
+// prompt still resets a status reused from an earlier cut-short call.
 TEST(Transformer, EmptyPromptResetsReusedStatus) {
   const wm::Transformer model(tiny_config(), 47);
   wm::Transformer::GenerateStatus status;
-  auto expect_reset = [&](const char* label) {
-    EXPECT_FALSE(status.deadline_expired) << label;
-    EXPECT_EQ(status.steps_taken, 0) << label;
-    EXPECT_EQ(status.prefill_tokens_reused, 0) << label;
-  };
-
-  status.deadline_expired = true;
-  status.steps_taken = 7;
-  wm::Transformer::BeamOptions beam;
-  beam.status = &status;
-  EXPECT_TRUE(model.generate_beam({}, beam).empty());
-  expect_reset("beam");
-
   status.deadline_expired = true;
   status.steps_taken = 7;
   wm::Transformer::GenerateOptions gen;
   gen.status = &status;
   EXPECT_TRUE(model.generate({}, gen).empty());
-  expect_reset("greedy");
+  EXPECT_FALSE(status.deadline_expired);
+  EXPECT_EQ(status.steps_taken, 0);
+  EXPECT_EQ(status.prefill_tokens_reused, 0);
 }
 
 TEST(Transformer, DeterministicConstruction) {

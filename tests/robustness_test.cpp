@@ -247,20 +247,6 @@ TEST(TransformerDeadline, NoDeadlineDecodesInFull) {
   EXPECT_GE(status.steps_taken, static_cast<int>(ids.size()));
 }
 
-TEST(TransformerDeadline, BeamSearchHonorsDeadline) {
-  auto& f = fixture();
-  auto ids = f.tokenizer.encode("- name: Install nginx\n");
-  wm::Transformer::BeamOptions beam;
-  beam.beam_width = 2;
-  beam.max_new_tokens = 16;
-  beam.deadline = wu::Deadline::after_checks(0);
-  wm::Transformer::GenerateStatus status;
-  beam.status = &status;
-  auto out = f.model.generate_beam(ids, beam);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(status.deadline_expired);
-}
-
 // ---------------------------------------------------------------------------
 // FallbackSuggester
 

@@ -45,9 +45,34 @@ TEST(Wire, EscapingSpecialCharacters) {
 TEST(Wire, RoundTripWithControlCharacters) {
   ws::SuggestionRequest request;
   request.prompt = "with \"quotes\" and\nnewlines\tand tabs \\ slashes";
+  // Every byte below 0x20, most of which json_escape writes as \u00XX.
+  for (char c = 0; c < 0x20; ++c) request.prompt += c;
   auto back = ws::request_from_json(ws::to_json(request));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->prompt, request.prompt);
+}
+
+// Every JSON string escape decodes: a \uXXXX escape to UTF-8, a surrogate
+// pair to one 4-byte sequence, \b and \f to their bytes. A client whose
+// encoder escapes non-ASCII (Python's json.dumps does by default) then
+// sends the same prompt bytes as one that writes raw UTF-8.
+TEST(Wire, DecodesJsonStringEscapes) {
+  const struct {
+    const char* json;
+    const char* prompt;
+  } cases[] = {
+      {R"({"prompt": "caf\u00e9"})", "caf\xc3\xa9"},
+      {"{\"prompt\": \"caf\xc3\xa9\"}", "caf\xc3\xa9"},
+      {R"({"prompt": "\u65e5"})", "\xe6\x97\xa5"},
+      {R"({"prompt": "\ud83d\ude80"})", "\xf0\x9f\x9a\x80"},
+      {R"({"prompt": "a\bb"})", "a\bb"},
+      {R"({"prompt": "a\fb"})", "a\fb"},
+  };
+  for (const auto& c : cases) {
+    auto request = ws::request_from_json(c.json);
+    EXPECT_TRUE(request.has_value()) << c.json;
+    if (request) EXPECT_EQ(request->prompt, c.prompt) << c.json;
+  }
 }
 
 TEST(Wire, ParsesHandWrittenJson) {
@@ -76,6 +101,12 @@ TEST(Wire, RejectsMalformedJson) {
   EXPECT_FALSE(
       ws::request_from_json("{\"prompt\": \"x\", \"indent\": \"four\"}")
           .has_value());
+  // A lone surrogate escape is no code point.
+  for (const char* json :
+       {R"({"prompt": "\ud83d"})", R"({"prompt": "\ude80"})",
+        R"({"prompt": "\ud83dx"})", R"({"prompt": "\ud83d\u0041"})",
+        R"({"prompt": "\ud83d\ud83d"})", R"({"prompt": "\ude80\ud83d"})"})
+    EXPECT_FALSE(ws::request_from_json(json).has_value()) << json;
 }
 
 TEST(Wire, RejectsMalformedResponse) {
