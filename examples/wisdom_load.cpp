@@ -20,9 +20,11 @@
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,6 +33,7 @@
 #include "net/event_loop.hpp"
 #include "serve/wire.hpp"
 #include "util/percentile.hpp"
+#include "util/strings.hpp"
 
 using namespace wisdom;
 
@@ -298,11 +301,20 @@ class LoadDriver {
 };
 
 int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--host H] [--port N] [--connections N] "
-               "[--requests N] [--deadline-ms MS] [--stream] [--prompt P] "
-               "[--context C] [--indent N]\n",
-               argv0);
+  std::fprintf(
+      stderr,
+      "usage: %s [options]\n"
+      "  --host H           server IPv4 address (default 127.0.0.1)\n"
+      "  --port N           server port, 1-65535 (default 8080)\n"
+      "  --connections N    concurrent connections, >= 1 (default 500)\n"
+      "  --requests N       requests in total, >= 1 (default 2000)\n"
+      "  --deadline-ms MS   per-request deadline, >= 0 (0 = server's)\n"
+      "  --stream           POST /v1/suggest/stream instead of /v1/suggest\n"
+      "  --prompt P         the task name to complete\n"
+      "  --context C        the file content before the prompt\n"
+      "  --indent N         the prompt's indent, 0-%d (default 0)\n"
+      "Numbers must parse whole: N is an integer, MS a finite real.\n",
+      argv0, serve::kMaxWireIndent);
   return 2;
 }
 
@@ -314,20 +326,37 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) std::exit(usage(argv[0]));
     return argv[++i];
   };
+  // Every numeric flag must parse whole, finite and inside the range the
+  // usage text documents: a wrapped port, zero connections or "4x" read as
+  // 4 would load some other server, or none, and still print CLEAN.
+  auto int_value = [&](int& i, int lo, int hi) {
+    int value = 0;
+    if (!util::parse_number(next_value(i), lo, hi, &value))
+      std::exit(usage(argv[0]));
+    return value;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--host") options.host = next_value(i);
-    else if (arg == "--port")
-      options.port = static_cast<std::uint16_t>(std::atoi(next_value(i)));
+    if (arg == "--host") {
+      options.host = next_value(i);
+      in_addr parsed{};
+      if (::inet_pton(AF_INET, options.host.c_str(), &parsed) != 1)
+        return usage(argv[0]);
+    } else if (arg == "--port")
+      options.port = static_cast<std::uint16_t>(int_value(i, 1, 65535));
     else if (arg == "--connections")
-      options.connections = std::atoi(next_value(i));
-    else if (arg == "--requests") options.requests = std::atoi(next_value(i));
-    else if (arg == "--deadline-ms")
-      options.deadline_ms = std::atof(next_value(i));
-    else if (arg == "--stream") options.stream = true;
+      options.connections = int_value(i, 1, INT_MAX);
+    else if (arg == "--requests") options.requests = int_value(i, 1, INT_MAX);
+    else if (arg == "--deadline-ms") {
+      if (!util::parse_number(next_value(i), 0.0,
+                              std::numeric_limits<double>::max(),
+                              &options.deadline_ms))
+        return usage(argv[0]);
+    } else if (arg == "--stream") options.stream = true;
     else if (arg == "--prompt") options.prompt = next_value(i);
     else if (arg == "--context") options.context = next_value(i);
-    else if (arg == "--indent") options.indent = std::atoi(next_value(i));
+    else if (arg == "--indent")
+      options.indent = int_value(i, 0, serve::kMaxWireIndent);
     else return usage(argv[0]);
   }
 

@@ -14,9 +14,7 @@
 // SIGINT/SIGTERM drain gracefully: healthz flips to 503, in-flight
 // requests (streams included) run to completion, the final metrics flush
 // is printed, and the process exits 0.
-#include <charconv>
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +24,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "bench_common.hpp"
 #include "core/pipeline.hpp"
@@ -36,6 +33,7 @@
 #include "serve/wire.hpp"
 #include "text/bpe.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace wisdom;
@@ -45,24 +43,6 @@ namespace {
 // Signal flag polled by the main thread's wait loop.
 volatile std::sig_atomic_t g_shutdown = 0;
 void on_signal(int) { g_shutdown = 1; }
-
-// Parses the whole of `value` as a finite number in [lo, hi]. Trailing
-// characters, a non-number, NaN or infinity, or a value out of range
-// fail, so a typo ends at the usage text instead of serving with some
-// other value.
-template <typename T>
-bool parse_number(const char* value, T lo, T hi, T* out) {
-  const char* end = value + std::strlen(value);
-  T parsed{};
-  auto result = std::from_chars(value, end, parsed);
-  if (result.ec != std::errc() || result.ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(parsed)) return false;
-  }
-  if (parsed < lo || parsed > hi) return false;
-  *out = parsed;
-  return true;
-}
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -113,13 +93,13 @@ int main(int argc, char** argv) {
   // some other port, and "4x" or "5ms" would serve as 4 or 5.
   auto int_value = [&](int& i, int lo, int hi) {
     int value = 0;
-    if (!parse_number(next_value(i), lo, hi, &value))
+    if (!util::parse_number(next_value(i), lo, hi, &value))
       std::exit(usage(argv[0]));
     return value;
   };
   auto real_value = [&](int& i, double hi) {
     double value = 0.0;
-    if (!parse_number(next_value(i), 0.0, hi, &value))
+    if (!util::parse_number(next_value(i), 0.0, hi, &value))
       std::exit(usage(argv[0]));
     return value;
   };

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 
@@ -702,15 +703,20 @@ std::vector<SuggestionResponse> InferenceService::suggest_batch(
   if (obs::enabled())
     h_.inflight->set(static_cast<double>(queue_.in_flight()));
 
+  // One lane per pool thread (at most one per request); each lane claims
+  // the next unserved index until none is left, so a slow request holds up
+  // one lane instead of the fixed slice behind it. No response depends on
+  // the lane that serves it.
   std::vector<SuggestionResponse> responses(n);
-  util::ThreadPool::global().parallel_for(
-      0, static_cast<std::int64_t>(n),
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          std::size_t j = static_cast<std::size_t>(i);
+  std::atomic<std::size_t> next{0};
+  util::ThreadPool& pool = util::ThreadPool::global();
+  pool.parallel_for(
+      0, std::min<std::int64_t>(pool.size(), static_cast<std::int64_t>(n)),
+      [&](std::int64_t, std::int64_t) {
+        std::size_t j;
+        while ((j = next.fetch_add(1, std::memory_order_relaxed)) < n)
           responses[j] = serve_traced(requests[j], admitted[j] != 0,
                                       base_seq + static_cast<std::uint64_t>(j));
-        }
       });
   for (std::size_t i = 0; i < n; ++i)
     if (admitted[i]) queue_.release();

@@ -7,8 +7,9 @@
 // the 350M model rather than the 2.7B one).
 //
 // suggest_batch() serves N requests by fanning whole requests out across
-// util::ThreadPool::global(); the batched responses are byte-identical to
-// N sequential suggest() calls.
+// util::ThreadPool::global(): one lane per pool thread, each claiming the
+// next unserved request until none is left. The batched responses are
+// byte-identical to N sequential suggest() calls.
 //
 // The serving path is deadline-aware and failure-tolerant end to end:
 //   * every request decodes under a deadline (per-request override or the
@@ -138,13 +139,21 @@ class InferenceService {
   SuggestionResponse suggest_stream(const SuggestionRequest& request,
                                     const TokenSink& sink);
 
-  // Serves a batch concurrently on the global thread pool. Responses
-  // align with requests by index and match sequential suggest() calls
-  // exactly (greedy decoding, shared read-only model). Admission is
-  // decided in arrival order before any serving (reject-newest: with
-  // capacity C and an otherwise idle service, the first C requests are
-  // admitted and the rest shed — deterministically). The metrics count
-  // each request individually but the batch's wall time once.
+  // Serves a batch concurrently on the global thread pool: min(pool
+  // size, N) lanes, the calling thread's included, each take the next
+  // unserved request index from a shared cursor until none is left, so
+  // which lane serves a request depends on timing. Nothing a response
+  // holds does: responses align with requests by index and match
+  // sequential suggest() calls exactly (greedy decoding, shared read-only
+  // model, bit-identical kernels at any thread count, trace ids sequenced
+  // by index). With two or more lanes every lane runs its requests'
+  // kernels inline; a one-request batch has the pool to itself, as
+  // suggest() does. Called from a pool lane, the whole batch runs inline
+  // on that lane. Admission is decided in arrival order before any
+  // serving (reject-newest: with capacity C and an otherwise idle service,
+  // the first C requests are admitted and the rest shed —
+  // deterministically). The metrics count each request individually but
+  // the batch's wall time once.
   std::vector<SuggestionResponse> suggest_batch(
       const std::vector<SuggestionRequest>& requests);
 

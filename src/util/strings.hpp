@@ -3,8 +3,12 @@
 // documented where it matters for the parser hot path.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace wisdom::util {
@@ -44,6 +48,24 @@ std::string fmt_fixed(double value, int decimals);
 
 // True if the text parses completely as a decimal integer.
 bool is_integer(std::string_view text);
+
+// Parses the whole of `text` as a finite number in [lo, hi] into *out, for
+// command-line flags. Trailing characters, a non-number, NaN or infinity,
+// or a value out of range fail and leave *out unchanged, so a typo ends at
+// the usage text instead of running with some other value.
+template <typename T>
+bool parse_number(std::string_view text, T lo, T hi, T* out) {
+  const char* end = text.data() + text.size();
+  T parsed{};
+  auto result = std::from_chars(text.data(), end, parsed);
+  if (result.ec != std::errc() || result.ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  }
+  if (parsed < lo || parsed > hi) return false;
+  *out = parsed;
+  return true;
+}
 
 // The body of a JSON string literal for `text` (no surrounding quotes):
 // quote, backslash, \n, \r and \t get their short escapes, every other

@@ -15,6 +15,14 @@ namespace {
 
 thread_local bool t_in_worker = false;
 
+// Marks the calling thread as a pool lane while alive; the previous flag
+// comes back on scope exit, exceptions included.
+struct LaneScope {
+  bool saved = t_in_worker;
+  LaneScope() { t_in_worker = true; }
+  ~LaneScope() { t_in_worker = saved; }
+};
+
 // Pool metrics live in the global registry. Registered eagerly at pool
 // construction so the families appear in every exposition dump; updates
 // are gated on obs::enabled() (the queue-depth gauge and the per-chunk
@@ -172,12 +180,15 @@ void ThreadPool::parallel_for(
   cv_.notify_all();
   if (observe) pool_metrics().tasks->inc(static_cast<std::uint64_t>(chunks));
 
-  // The caller runs the first chunk; its exception still waits for the
-  // workers (they reference stack state) before propagating.
+  // The caller runs the first chunk as a lane, so a parallel_for nested in
+  // it runs inline like one nested in a worker's chunk; its exception
+  // still waits for the workers (they reference stack state) before
+  // propagating.
   std::exception_ptr local;
   auto caller_start = observe ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point{};
   try {
+    LaneScope lane;
     body(chunk_begin(0), chunk_begin(1));
   } catch (...) {
     local = std::current_exception();

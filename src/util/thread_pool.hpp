@@ -5,10 +5,14 @@
 //      contiguous chunks with a fixed partition, so a kernel that writes
 //      disjoint output rows per chunk produces bit-identical results at any
 //      thread count (including 1). No work stealing, no atomics on data.
-//   2. Nestability. A parallel_for issued from inside a pool worker runs
-//      inline and sequentially on that worker — batched serving fans
-//      requests out across the pool and the per-request kernels then must
-//      not re-enter it (that would deadlock a fixed-size pool).
+//   2. Nestability. A parallel_for issued from inside a pool lane runs
+//      inline and sequentially on that lane. Every chunk of a parallel_for
+//      runs as a lane: the workers' chunks and the caller's own first
+//      chunk alike. Batched serving fans requests out across the pool and
+//      the per-request kernels then must not re-enter it: from a worker
+//      that would deadlock a fixed-size pool, and from the caller's chunk
+//      the kernel's chunks would queue behind the other lanes' whole
+//      share of the batch.
 //   3. Exception safety. The first exception thrown by any chunk is
 //      rethrown to the caller after all chunks finish; the pool stays
 //      usable afterwards.
@@ -42,13 +46,17 @@ class ThreadPool {
 
   // Runs body(chunk_begin, chunk_end) over a deterministic partition of
   // [begin, end) into at most size() contiguous chunks and blocks until
-  // every chunk is done. The caller executes the first chunk itself.
-  // Called from a pool worker, runs body(begin, end) inline instead.
+  // every chunk is done. The caller executes the first chunk itself, as a
+  // lane (in_worker() is true while it runs; the flag is restored when
+  // the chunk returns or throws). Called from a lane, runs body(begin,
+  // end) inline instead.
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t, std::int64_t)>&
                         body);
 
-  // True on threads owned by a ThreadPool (any instance).
+  // True on a pool lane: a thread owned by a ThreadPool (any instance),
+  // or a caller while it runs its own chunk of a parallel_for. Kernels
+  // check it to run inline instead of dispatching to the pool.
   static bool in_worker();
 
   // Process-wide pool shared by the nn/model/serve layers. Built lazily

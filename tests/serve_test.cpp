@@ -295,36 +295,77 @@ std::vector<ws::SuggestionResponse> sequential_reference(
 
 }  // namespace
 
-// At pool widths 1 and 4, with the caches on and off, a batch serves
-// exactly what sequential suggest() calls serve.
+// At pool widths 1, 3 and 4, with the caches on and off, a batch serves
+// exactly what sequential suggest() calls serve. The batch sizes cover no
+// request, one, fewer requests than lanes, and a count that is no multiple
+// of the lanes, so the lanes claim requests unevenly.
 TEST(ServiceBatch, MatchesSequentialWithCachesOnAndOff) {
   const wt::BpeTokenizer tokenizer = wisdom::testutil::serving_tokenizer();
   const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
-  const auto requests = batch_requests();
-  for (int threads : {1, 4}) {
+  const auto all_requests = batch_requests();
+  for (int threads : {1, 3, 4}) {
     wisdom::util::ThreadPool::set_global_threads(threads);
-    for (bool caches_on : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " caches_on=" + std::to_string(caches_on));
-      ws::ServiceOptions options;
-      options.prefix_cache_enabled = caches_on;
-      options.response_cache_enabled = caches_on;
-      const auto expected =
-          sequential_reference(model, tokenizer, options, requests);
+    for (std::size_t size : {0, 1, 2, 7}) {
+      const std::vector<ws::SuggestionRequest> requests(
+          all_requests.begin(),
+          all_requests.begin() + static_cast<std::ptrdiff_t>(size));
+      for (bool caches_on : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " size=" + std::to_string(size) +
+                     " caches_on=" + std::to_string(caches_on));
+        ws::ServiceOptions options;
+        options.prefix_cache_enabled = caches_on;
+        options.response_cache_enabled = caches_on;
+        const auto expected =
+            sequential_reference(model, tokenizer, options, requests);
 
-      ws::InferenceService batched(model, tokenizer, options);
-      const auto responses = batched.suggest_batch(requests);
-      ASSERT_EQ(responses.size(), requests.size());
-      for (std::size_t i = 0; i < requests.size(); ++i)
-        expect_same_payload(responses[i], expected[i], i);
-      const auto& registry = batched.metrics();
-      EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"),
-                requests.size());
-      EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"),
-                requests.size());
-      EXPECT_GT(metric_value(registry, "wisdom_serve_wall_ms"), 0.0);
+        ws::InferenceService batched(model, tokenizer, options);
+        const auto responses = batched.suggest_batch(requests);
+        ASSERT_EQ(responses.size(), requests.size());
+        for (std::size_t i = 0; i < requests.size(); ++i)
+          expect_same_payload(responses[i], expected[i], i);
+        const auto& registry = batched.metrics();
+        EXPECT_EQ(metric_value(registry, "wisdom_serve_requests_total"),
+                  requests.size());
+        EXPECT_EQ(metric_value(registry, "wisdom_serve_request_ms_count"),
+                  requests.size());
+        if (size > 0) {
+          EXPECT_GT(metric_value(registry, "wisdom_serve_wall_ms"), 0.0);
+        }
+      }
     }
   }
+  wisdom::util::ThreadPool::set_global_threads(0);
+}
+
+// A batch served from inside a pool chunk runs inline on that chunk's
+// thread (every chunk is a lane) and still serves what sequential calls
+// serve.
+TEST(ServiceBatch, FromInsidePoolChunkRunsInline) {
+  const wt::BpeTokenizer tokenizer = wisdom::testutil::serving_tokenizer();
+  const wm::Transformer model = wisdom::testutil::serving_model(tokenizer);
+  const auto requests = batch_requests();
+  const auto expected =
+      sequential_reference(model, tokenizer, ws::ServiceOptions{}, requests);
+  wisdom::util::ThreadPool::set_global_threads(4);
+  wisdom::util::ThreadPool& pool = wisdom::util::ThreadPool::global();
+  std::vector<std::vector<ws::SuggestionResponse>> served(4);
+  wisdom::obs::set_enabled(true);
+  const double tasks_before = wisdom::testutil::pool_tasks();
+  pool.parallel_for(0, 4, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      ws::InferenceService service(model, tokenizer);
+      served[static_cast<std::size_t>(c)] = service.suggest_batch(requests);
+    }
+  });
+  const double tasks_run = wisdom::testutil::pool_tasks() - tasks_before;
+  for (const auto& responses : served) {
+    ASSERT_EQ(responses.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i)
+      expect_same_payload(responses[i], expected[i], i);
+  }
+  // Only the outer fan-out's four chunks reached the pool.
+  if (wisdom::obs::kCompiledIn) EXPECT_EQ(tasks_run, 4.0);
   wisdom::util::ThreadPool::set_global_threads(0);
 }
 

@@ -24,6 +24,7 @@
 #include "model/transformer.hpp"
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "text/bpe.hpp"
 #include "util/rng.hpp"
 
@@ -143,6 +144,15 @@ inline double metric_value(const obs::MetricsRegistry& registry,
   }
   ADD_FAILURE() << "no metric sample named " << name;
   return 0.0;
+}
+
+// Chunks the thread pool has run so far (wisdom_pool_tasks_total in the
+// global registry, counted while observability is on); 0 when it is
+// compiled out.
+inline double pool_tasks() {
+  if (!obs::kCompiledIn) return 0.0;
+  return metric_value(obs::MetricsRegistry::global(),
+                      "wisdom_pool_tasks_total");
 }
 
 // Leaked singleton (never destroyed): avoids static-destruction-order

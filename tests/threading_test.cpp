@@ -13,6 +13,7 @@
 #include "model/config.hpp"
 #include "model/transformer.hpp"
 #include "nn/ops.hpp"
+#include "obs/obs.hpp"
 #include "serve/service.hpp"
 #include "test_util.hpp"
 #include "text/bpe.hpp"
@@ -73,33 +74,30 @@ TEST(ThreadPool, EmptyAndSingleRanges) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::atomic<int> inner_calls{0};
-  std::atomic<int> worker_chunks_seen{0};
+  std::atomic<int> lanes_seen{0};
   pool.parallel_for(0, 4, [&](std::int64_t, std::int64_t) {
-    if (ThreadPool::in_worker()) {
-      // From a worker the nested call must run inline as one full-range
-      // chunk (a fixed-size pool would otherwise deadlock on itself).
-      int chunks = 0;
-      std::int64_t lo = -1, hi = -1;
-      pool.parallel_for(0, 8, [&](std::int64_t ib, std::int64_t ie) {
-        ++chunks;
-        lo = ib;
-        hi = ie;
-        inner_calls += static_cast<int>(ie - ib);
-      });
-      EXPECT_EQ(chunks, 1);
-      EXPECT_EQ(lo, 0);
-      EXPECT_EQ(hi, 8);
-      ++worker_chunks_seen;
-    } else {
-      // The caller's own chunk may fan the nested call out again; it just
-      // must cover the range and come back.
-      pool.parallel_for(0, 8, [&](std::int64_t ib, std::int64_t ie) {
-        inner_calls += static_cast<int>(ie - ib);
-      });
-    }
+    // Every chunk, the caller's included, runs as a pool lane, and a
+    // nested call runs inline as one full-range chunk (from a worker a
+    // fixed-size pool would otherwise deadlock on itself; from the caller
+    // it would queue behind the workers' chunks).
+    EXPECT_TRUE(ThreadPool::in_worker());
+    int chunks = 0;
+    std::int64_t lo = -1, hi = -1;
+    pool.parallel_for(0, 8, [&](std::int64_t ib, std::int64_t ie) {
+      ++chunks;
+      lo = ib;
+      hi = ie;
+      inner_calls += static_cast<int>(ie - ib);
+    });
+    EXPECT_EQ(chunks, 1);
+    EXPECT_EQ(lo, 0);
+    EXPECT_EQ(hi, 8);
+    ++lanes_seen;
   });
   EXPECT_EQ(inner_calls.load(), 4 * 8);
-  EXPECT_GE(worker_chunks_seen.load(), 1);
+  EXPECT_EQ(lanes_seen.load(), 4);
+  // The caller is a lane only while it runs its chunk.
+  EXPECT_FALSE(ThreadPool::in_worker());
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
@@ -110,6 +108,8 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
                           if (b >= 0) throw std::runtime_error("chunk");
                         }),
       std::runtime_error);
+  // The caller's chunk threw too; it is no longer marked as a lane.
+  EXPECT_FALSE(ThreadPool::in_worker());
   // Pool is still usable after an exception.
   std::atomic<int> total{0};
   pool.parallel_for(0, 16, [&](std::int64_t b, std::int64_t e) {
@@ -281,8 +281,12 @@ TEST(BatchedServe, MatchesSequentialSuggest) {
   std::vector<ws::SuggestionResponse> expected;
   for (const auto& r : requests) expected.push_back(sequential.suggest(r));
 
+  using wisdom::testutil::pool_tasks;
+  wisdom::obs::set_enabled(true);
   ws::InferenceService batched(model, tokenizer);
+  const double tasks_before = pool_tasks();
   auto responses = batched.suggest_batch(requests);
+  const double tasks_run = pool_tasks() - tasks_before;
   ASSERT_EQ(responses.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(responses[i].snippet, expected[i].snippet) << "request " << i;
@@ -302,4 +306,10 @@ TEST(BatchedServe, MatchesSequentialSuggest) {
   // A batch books its wall time exactly once.
   EXPECT_GT(metric_value(registry, "wisdom_serve_wall_ms"), 0.0);
   ThreadPool::set_global_threads(0);
+
+  // The fan-out is one chunk per lane (4 lanes for 5 requests), and every
+  // kernel nested in a lane, the caller's included, runs inline: even with
+  // the threshold at 0 no other chunk reaches the pool.
+  if (!wisdom::obs::kCompiledIn) GTEST_SKIP() << "built with WISDOM_OBS=OFF";
+  EXPECT_EQ(tasks_run, 4.0);
 }

@@ -160,6 +160,21 @@ TEST(Strings, IsInteger) {
   EXPECT_FALSE(wu::is_integer("-"));
 }
 
+TEST(Strings, ParseNumberTakesOnlyWholeFiniteInRangeValues) {
+  int port = 7;
+  EXPECT_TRUE(wu::parse_number("8080", 1, 65535, &port));
+  EXPECT_EQ(port, 8080);
+  for (const char* bad : {"70000", "0", "80x", "abc", "", " 80", "8.5"})
+    EXPECT_FALSE(wu::parse_number(bad, 1, 65535, &port)) << bad;
+  EXPECT_EQ(port, 8080);  // failures leave the value alone
+  double ms = 0.0;
+  EXPECT_TRUE(wu::parse_number("2.5", 0.0, 1e9, &ms));
+  EXPECT_EQ(ms, 2.5);
+  for (const char* bad : {"inf", "nan", "-1", "1e10", "2.5ms"})
+    EXPECT_FALSE(wu::parse_number(bad, 0.0, 1e9, &ms)) << bad;
+  EXPECT_EQ(ms, 2.5);
+}
+
 // --- hashing -----------------------------------------------------------------
 
 TEST(Hashing, Fnv1aKnownValues) {
